@@ -15,10 +15,10 @@ from repro.closedloop.missions import (
     MissionSpec,
     SteeringCourse,
     WaypointMission,
-    control_period_s,
     make_mission,
     mission_entry,
     mission_names,
+    mission_record,
     register_mission,
     unregister_mission,
 )
@@ -39,11 +39,11 @@ __all__ = [
     "MissionSpec",
     "SteeringCourse",
     "WaypointMission",
-    "control_period_s",
     "make_mission",
     "make_runner",
     "mission_entry",
     "mission_names",
+    "mission_record",
     "register_mission",
     "unregister_mission",
     "FlappingWingRunner",

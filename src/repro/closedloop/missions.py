@@ -154,11 +154,6 @@ def make_mission(name: str):
     return mission_entry(name).factory()
 
 
-def control_period_s(mission_name: str) -> float:
-    """The control-loop period each mission's runner steps at (seconds)."""
-    return 1.0 / mission_entry(mission_name).control_rate_hz
-
-
 @dataclass(frozen=True)
 class MissionResult:
     """Task-level outcome plus the compute cost of achieving it."""
@@ -201,6 +196,45 @@ class MissionResult:
     def energy_to_abort_j(self) -> Optional[float]:
         """Compute energy burned before losing flight (None if completed)."""
         return None if self.completed else self.compute_energy_j
+
+
+#: Every column :func:`mission_record` can emit, in record order.
+RECORD_COLUMNS = (
+    "completed", "duration_s", "path_error_rms", "path_error_max",
+    "compute_energy_j", "compute_latency_s", "deadline_hit_rate",
+    "effective_rate_hz", "overruns", "worst_latency_s", "aborted_by",
+    "fault_events", "time_to_failure_s", "energy_to_abort_j",
+)
+
+#: The columns of a fault-free mission answer (no fault forensics).
+OUTCOME_COLUMNS = RECORD_COLUMNS[:11]
+
+
+def mission_record(result: MissionResult,
+                   columns: Tuple[str, ...] = OUTCOME_COLUMNS) -> dict:
+    """JSON-ready record of one :class:`MissionResult`: its ``columns``.
+
+    Mission answers, fault-campaign cells and scenario mission jobs all
+    pick their columns from this one mapping.
+    """
+    ttf, eta = result.time_to_failure_s, result.energy_to_abort_j
+    full = {
+        "completed": bool(result.completed),
+        "duration_s": float(result.duration_s),
+        "path_error_rms": float(result.path_error_rms_m),
+        "path_error_max": float(result.path_error_max_m),
+        "compute_energy_j": float(result.compute_energy_j),
+        "compute_latency_s": float(result.compute_latency_s),
+        "deadline_hit_rate": float(result.deadline_hit_rate),
+        "effective_rate_hz": float(result.effective_rate_hz),
+        "overruns": int(result.overruns),
+        "worst_latency_s": float(result.worst_latency_s),
+        "aborted_by": result.aborted_by,
+        "fault_events": int(result.fault_events),
+        "time_to_failure_s": None if ttf is None else float(ttf),
+        "energy_to_abort_j": None if eta is None else float(eta),
+    }
+    return {name: full[name] for name in columns}
 
 
 @dataclass

@@ -517,10 +517,11 @@ def make_runner(
     """Build the runner that flies ``mission_name`` on core ``arch_name``.
 
     Reads the mission registry (:func:`~repro.closedloop.missions.mission_entry`)
-    for the runner class and control rate, so the fault campaign planner,
-    the query service, ``repro.api.run_mission``, and the scenario layer
-    all fly a registered mission — built-in or generated — through one
-    construction site.
+    for the runner class and control rate; the query service and
+    ``repro.api.run_mission`` fly a registered mission through here.
+    Campaign mission jobs build their runner from :data:`RUNNER_CLASSES`
+    in ``repro.faults.campaign.run_mission_job`` instead, since a job
+    also sets the scalar type, the body seed, and a profile's own rate.
     """
     from repro.closedloop.missions import mission_entry
     from repro.mcu.arch import get_arch

@@ -23,7 +23,7 @@ from repro.faults.base import (
 from repro.faults.campaign import (
     CampaignResult,
     FaultCampaignSpec,
-    MissionCell,
+    MissionJob,
     plan_mission_cells,
     run_campaign,
 )
@@ -56,7 +56,7 @@ __all__ = [
     "register",
     "CampaignResult",
     "FaultCampaignSpec",
-    "MissionCell",
+    "MissionJob",
     "plan_mission_cells",
     "run_campaign",
     "CpiStormFault",

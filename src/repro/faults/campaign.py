@@ -1,41 +1,247 @@
-"""Deterministic fault-campaign planner and executor.
+"""The campaign executor, and the fault-campaign planner built on it.
 
-A campaign expands ``(kernel | mission) x severity`` grids for one fault
-model into concrete work and executes it:
+Fault campaigns and scenario sets (:mod:`repro.scenarios.campaign`) are
+planners: each turns its spec into :class:`MissionJob` records and
+kernel groups, runs them through :func:`run_mission_jobs` and
+:func:`run_kernel_sweeps`, and builds its own result type.
 
-* **kernel cells** become one ordinary engine sweep over *derated arch
-  variants* (``m33+brownout:0.5``).  Because the engine's solve key
-  ignores the arch, each kernel's real compute runs **once** and is
-  re-priced across every severity — a ten-severity brownout sweep costs
-  one solve per kernel, exactly like the ten-core sweep it structurally
-  is.
-* **mission cells** run the closed-loop stack with the fault's per-step
-  :class:`~repro.closedloop.runner.MissionFaultHook`, fanned out across a
-  process pool when ``jobs > 1``.
+A fault campaign's **kernel cells** become one engine sweep over
+*derated arch variants* (``m33+brownout:0.5``).  Because the engine's
+solve key ignores the arch, each kernel's real compute runs **once** and
+is re-priced across every severity, exactly like the multi-core sweep it
+structurally is.  Its **mission cells** fly the closed-loop stack with
+the fault's per-step :class:`~repro.closedloop.runner.MissionFaultHook`,
+fanned out across a process pool when ``jobs > 1``.
 
-Determinism contract: every cell's seed derives from
-``SeedSequence([campaign_seed, cell_index])``; workers return plain
-dicts; results are collated in cell order regardless of completion order.
-The same spec therefore produces byte-identical campaign records across
-runs *and* across worker counts.
+Determinism contract: job seeds derive from ``SeedSequence([base_seed,
+index])``; workers return plain data; results collate in job order;
+metrics, telemetry and pooled-run trace events derive at collation.  The
+same spec therefore produces byte-identical records for any worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import product
+from pathlib import Path
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.closedloop import (
-    control_period_s,
+    MissionResult,
     make_mission,
-    make_runner,
     mission_entry,
+    mission_record,
 )
+from repro.closedloop.missions import RECORD_COLUMNS
+from repro.closedloop.runner import RUNNER_CLASSES
+from repro.core.config import HarnessConfig
 from repro.faults.base import FaultModel, check_severity, get_fault
+from repro.mcu.arch import ArchSpec, get_arch
 from repro.obs import get_metrics, get_tracer
+from repro.scalar import parse_scalar
+
+
+def derive_seed(base_seed: int, index: int) -> int:
+    """Stable per-job seed: independent of worker count and run order."""
+    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
+
+
+@dataclass(frozen=True)
+class MissionJob:
+    """One planned closed-loop run: a mission on one core, maybe faulted.
+
+    Workers rebuild the mission with ``build(source)``, a top-level
+    function: :func:`~repro.closedloop.make_mission` with a registered
+    name, or the scenario layer's ``mission_from_profile`` with a profile.
+    """
+
+    #: The leading columns of the job's record, in record order.
+    head: dict
+    #: The name its telemetry events and pooled ``mission.run`` span carry.
+    label: str
+    #: Trace lane for its sim-time spans and fault instants.
+    track: str
+    build: Callable[[object], object]
+    source: object
+    #: Runner family (``"flapping"`` / ``"strider"``) and its loop rate.
+    runner: str
+    control_rate_hz: float
+    arch: str
+    fault: Optional[str] = None
+    severity: float = 0.0
+    #: Seeds the fault hook; ``body_seed`` seeds the body's sensor noise.
+    seed: int = 0
+    body_seed: int = 0
+    scalar: str = "f32"
+
+
+def run_mission_job(job: MissionJob) -> Tuple[MissionResult, List[dict]]:
+    """Fly one job (the pool entry point): its result and fault events."""
+    mission = job.build(job.source)
+    hook = None
+    if job.fault is not None and job.severity > 0.0:
+        fault = get_fault(job.fault)
+        if "mission" in fault.kinds:
+            hook = fault.mission_hook(job.severity, job.seed,
+                                      mission.duration_s,
+                                      1.0 / job.control_rate_hz)
+    runner = RUNNER_CLASSES[job.runner](
+        arch=get_arch(job.arch), scalar=parse_scalar(job.scalar),
+        control_rate_hz=job.control_rate_hz, seed=job.body_seed,
+        fault_hook=hook,
+    )
+    return runner.run(mission), ([] if hook is None else list(hook.events))
+
+
+def run_mission_jobs(
+    jobs: Sequence[MissionJob],
+    names: Tuple[str, str, str, str, str],
+    workers: int = 1,
+    telemetry=None,
+) -> List[Tuple[MissionResult, List[dict]]]:
+    """Fly every job; ``(result, fault events)`` per job, in job order.
+
+    ``workers > 1`` fans the jobs across a process pool.  With the
+    process-wide tracer enabled each job traces on its own lane: the
+    runner's per-step spans and fault instants in-process, a synthesized
+    ``mission.run`` span plus the same fault instants when pooled
+    (workers trace nothing).  The runners' own metrics are suppressed
+    in-process; the telemetry events and the ``names`` metrics (jobs,
+    completed, failed, fault injections, energy histogram) are derived
+    here at collation, so all of it is identical for any width.
+    """
+    if not jobs:
+        return []
+    tracer = get_tracer()
+    metrics = get_metrics()
+    if telemetry is not None:
+        for job in jobs:
+            telemetry.emit("mission_started", kernel=job.label, arch=job.arch,
+                           severity=job.severity)
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            # map() preserves input order: collation is worker-count-proof.
+            outcomes = list(pool.map(run_mission_job, jobs))
+        if tracer.enabled:
+            for job, (result, events) in zip(jobs, outcomes):
+                tracer.add_span(
+                    "mission.run", 0.0, float(result.duration_s),
+                    cat="mission", track=job.track, self_s=0.0,
+                    mission=job.label, arch=job.arch, severity=job.severity,
+                    completed=bool(result.completed),
+                    overruns=int(result.overruns),
+                )
+                for event in events:
+                    detail = {k: v for k, v in event.items()
+                              if k not in ("kind", "t_s")}
+                    tracer.instant(f"fault.{event['kind']}",
+                                   t_s=event["t_s"], cat="faults",
+                                   track=job.track, **detail)
+    else:
+        outcomes = []
+        with metrics.suspended():
+            for job in jobs:
+                with tracer.on_track(job.track if tracer.enabled else None):
+                    outcomes.append(run_mission_job(job))
+    if metrics.enabled:
+        count, completed, failed, injections, energy_uj = names
+        for result, _ in outcomes:
+            metrics.inc(count)
+            metrics.inc(completed if result.completed else failed)
+            metrics.inc(injections, int(result.fault_events))
+            metrics.observe(energy_uj, float(result.compute_energy_j) * 1e6)
+    if telemetry is not None:
+        for job, (result, events) in zip(jobs, outcomes):
+            telemetry.emit(
+                "overrun_degraded", kernel=job.label, arch=job.arch,
+                count=int(result.overruns),
+                worst_latency_us=round(float(result.worst_latency_s) * 1e6, 3),
+                steps=0,
+            )
+            for event in events:
+                detail = {k: v for k, v in event.items() if k != "kind"}
+                telemetry.emit("fault_injected", kernel=job.label,
+                               arch=job.arch, fault=event["kind"],
+                               severity=job.severity, **detail)
+            telemetry.emit(
+                "mission_finished", kernel=job.label, arch=job.arch,
+                severity=job.severity, completed=bool(result.completed),
+                aborted_by=result.aborted_by,
+            )
+    return outcomes
+
+
+def derated_arch(arch: ArchSpec, fault: Optional[str],
+                 severity: float) -> ArchSpec:
+    """The core a cell prices on: ``arch`` derated by ``fault``.
+
+    The base object itself at severity 0 or without an arch seam, so
+    fault-free cells price bit-identically to a plain sweep.
+    """
+    if fault is not None and severity > 0.0:
+        model = get_fault(fault)
+        if "arch" in model.kinds:
+            return model.derate_arch(arch, severity)
+    return arch
+
+
+def run_kernel_sweeps(groups, config, layer: str, options=None,
+                      telemetry=None, **span_args):
+    """Price kernel groups through the engine over one shared trace cache.
+
+    ``groups`` maps a scalar type (None: each kernel's own) to the
+    ``(kernels, archs)`` one engine sweep prices, cache on, in the order
+    given; a kernel solves once per scalar type.  A scalar group
+    checkpoints to its own file derived from ``options.checkpoint``
+    (``ck.jsonl`` -> ``ck.f32.jsonl``), so each resumes on its own.
+    Returns each group's ``SweepResults`` by scalar, and the cache.
+    """
+    from repro.core.experiment import SweepSpec
+    from repro.engine import EngineOptions, run_sweep_engine
+    from repro.mcu.cache import CACHE_ON
+
+    options = options if options is not None else EngineOptions()
+    cache = options.make_cache()
+    options = replace(options, trace_cache=cache)
+    tracer = get_tracer()
+    results = {}
+    for scalar, (kernels, archs) in groups.items():
+        group_options, tags, overrides = options, dict(span_args), {}
+        if scalar is not None:
+            overrides = {"*": {"scalar": parse_scalar(scalar)}}
+            tags["scalar"] = scalar
+            if options.checkpoint is not None:
+                path = Path(options.checkpoint)
+                group_options = replace(options, checkpoint=path.with_name(
+                    f"{path.stem}.{scalar}{path.suffix}"))
+        spec = SweepSpec(kernels=list(kernels), archs=list(archs),
+                         caches=(CACHE_ON,), config=config,
+                         overrides=overrides)
+        with tracer.span(f"{layer}.kernel_grid", cat=layer, **tags,
+                         kernels=len(spec.kernels), archs=len(spec.archs)):
+            results[scalar] = run_sweep_engine(spec, options=group_options,
+                                               telemetry=telemetry)
+    return results, cache
+
+
+def kernel_record(result) -> dict:
+    """The priced columns of one kernel-grid record (None where it misfits)."""
+    fits = bool(result.fits)
+    return {
+        "fits": fits,
+        "unit_latency_us": float(result.unit_latency_us) if fits else None,
+        "unit_energy_uj": float(result.unit_energy_uj) if fits else None,
+        "peak_power_mw": float(result.peak_power_mw) if fits else None,
+    }
+
+
+#: The metrics a campaign's mission cells count under.
+FAULT_METRICS = ("faults.mission_cells", "faults.missions_completed",
+                 "faults.missions_failed", "faults.injections",
+                 "faults.mission_energy_uj")
 
 
 @dataclass(frozen=True)
@@ -60,17 +266,6 @@ class FaultCampaignSpec:
         return tuple(sorted({0.0} | {check_severity(s) for s in self.severities}))
 
 
-@dataclass(frozen=True)
-class MissionCell:
-    """One planned closed-loop run: (mission, arch, severity, seed)."""
-
-    index: int
-    mission: str
-    arch: str
-    severity: float
-    seed: int
-
-
 @dataclass
 class CampaignResult:
     """Everything a campaign measured, in deterministic cell order."""
@@ -84,179 +279,32 @@ class CampaignResult:
     mission_grid: List[dict] = field(default_factory=list)
 
 
-def _cell_seed(campaign_seed: int, index: int) -> int:
-    """Stable per-cell seed: independent of worker count and run order."""
-    return int(np.random.SeedSequence([campaign_seed, index]).generate_state(1)[0])
+def mission_cell(fault: str, mission: str, arch: str, severity: float,
+                 seed: int) -> MissionJob:
+    """The mission job for one (mission, arch, severity) campaign cell.
+
+    ``seed`` seeds the fault hook only; the body keeps seed 0, so a
+    severity-0 cell flies exactly the plain fault-free mission.
+    """
+    entry = mission_entry(mission)  # raises MissionKeyError with a suggestion
+    return MissionJob(
+        head={"mission": mission, "arch": arch, "severity": severity,
+              "seed": seed},
+        label=mission, track=f"mission:{mission}/{arch} s={severity:g}",
+        build=make_mission, source=mission, runner=entry.runner,
+        control_rate_hz=entry.control_rate_hz, arch=arch, fault=fault,
+        severity=severity, seed=seed,
+    )
 
 
-def plan_mission_cells(spec: FaultCampaignSpec) -> List[MissionCell]:
+def plan_mission_cells(spec: FaultCampaignSpec) -> List[MissionJob]:
     """The mission grid in canonical order (mission, arch, severity)."""
-    cells: List[MissionCell] = []
-    for mission in spec.missions:
-        mission_entry(mission)  # raises MissionKeyError with a suggestion
-        for arch in spec.archs:
-            for severity in spec.severity_grid():
-                index = len(cells)
-                cells.append(MissionCell(
-                    index=index, mission=mission, arch=arch,
-                    severity=severity,
-                    seed=_cell_seed(spec.seed, index),
-                ))
-    return cells
-
-
-def _mission_worker(payload: tuple) -> dict:
-    """Process-pool entry point: run one mission cell, return a plain dict.
-
-    Must stay top-level (picklable) and fully deterministic in its
-    payload: the returned record is byte-identical however many workers
-    the campaign ran with.
-    """
-    fault_name, mission_name, arch_name, severity, seed = payload
-    import repro.faults  # ensure the registry is populated in the worker
-
-    fault = get_fault(fault_name)
-    mission = make_mission(mission_name)
-    hook = None
-    if severity > 0.0 and "mission" in fault.kinds:
-        hook = fault.mission_hook(
-            severity, seed, mission.duration_s, control_period_s(mission_name)
-        )
-    runner = make_runner(mission_name, arch_name, fault_hook=hook)
-    result = runner.run(mission)
-    return {
-        "mission": mission_name,
-        "arch": arch_name,
-        "severity": severity,
-        "seed": seed,
-        "completed": bool(result.completed),
-        "duration_s": float(result.duration_s),
-        "path_error_rms": float(result.path_error_rms_m),
-        "path_error_max": float(result.path_error_max_m),
-        "compute_energy_j": float(result.compute_energy_j),
-        "compute_latency_s": float(result.compute_latency_s),
-        "deadline_hit_rate": float(result.deadline_hit_rate),
-        "effective_rate_hz": float(result.effective_rate_hz),
-        "overruns": int(result.overruns),
-        "worst_latency_s": float(result.worst_latency_s),
-        "aborted_by": result.aborted_by,
-        "fault_events": int(result.fault_events),
-        "time_to_failure_s": (
-            None if result.time_to_failure_s is None
-            else float(result.time_to_failure_s)
-        ),
-        "energy_to_abort_j": (
-            None if result.energy_to_abort_j is None
-            else float(result.energy_to_abort_j)
-        ),
-        "events": list(hook.events) if hook is not None else [],
-    }
-
-
-def _cell_track(cell: MissionCell) -> str:
-    """Trace-timeline lane for one mission cell's sim-time spans."""
-    return f"mission:{cell.mission}/{cell.arch} s={cell.severity:g}"
-
-
-def run_mission_grid(
-    spec: FaultCampaignSpec,
-    jobs: int = 1,
-    telemetry=None,
-) -> List[dict]:
-    """Execute the mission cells, collated in canonical cell order.
-
-    Args:
-        spec: The campaign to expand into mission cells.
-        jobs: Process-pool width; 1 runs every cell in-process.
-        telemetry: Optional :class:`~repro.engine.Telemetry` collector.
-
-    Returns:
-        One plain record dict per cell, in canonical
-        (mission, arch, severity) order regardless of worker count.
-
-    Observability: with the process-wide tracer enabled, each cell's
-    sim-time spans land on its own ``mission:<name>/<arch> s=<sev>``
-    lane — per-step spans when cells run in-process (``jobs == 1``),
-    a synthesized ``mission.run`` summary span otherwise (workers trace
-    nothing).  Mission metrics are derived here at collation, in cell
-    order, so the aggregate is identical for any ``jobs``.
-    """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    cells = plan_mission_cells(spec)
-    if not cells:
-        return []
-    payloads = [
-        (spec.fault, c.mission, c.arch, c.severity, c.seed) for c in cells
+    grid = product(spec.missions, spec.archs, spec.severity_grid())
+    return [
+        mission_cell(spec.fault, mission, arch, severity,
+                     derive_seed(spec.seed, index))
+        for index, (mission, arch, severity) in enumerate(grid)
     ]
-    if telemetry is not None:
-        for c in cells:
-            telemetry.emit("mission_started", kernel=c.mission, arch=c.arch,
-                           severity=c.severity)
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            # map() preserves input order: collation is worker-count-proof.
-            records = list(pool.map(_mission_worker, payloads))
-        if tracer.enabled:
-            for cell, record in zip(cells, records):
-                track = _cell_track(cell)
-                tracer.add_span(
-                    "mission.run", 0.0, record["duration_s"], cat="mission",
-                    track=track, self_s=0.0, mission=cell.mission,
-                    arch=cell.arch, severity=cell.severity,
-                    completed=record["completed"],
-                    overruns=record["overruns"],
-                )
-                for event in record["events"]:
-                    detail = {k: v for k, v in event.items()
-                              if k not in ("kind", "t_s")}
-                    tracer.instant(f"fault.{event['kind']}",
-                                   t_s=event["t_s"], cat="faults",
-                                   track=track, **detail)
-    else:
-        # In-process cells trace per-step detail on their own lanes.  The
-        # runners' own metrics are suppressed so the campaign aggregate
-        # comes exclusively from the collation loop below and is therefore
-        # identical to the multi-worker path.
-        records = []
-        with metrics.suspended():
-            for cell, payload in zip(cells, payloads):
-                track = _cell_track(cell) if tracer.enabled else None
-                with tracer.on_track(track):
-                    records.append(_mission_worker(payload))
-    if metrics.enabled:
-        for record in records:
-            metrics.inc("faults.mission_cells")
-            metrics.inc("faults.missions_completed" if record["completed"]
-                        else "faults.missions_failed")
-            metrics.inc("faults.injections", record["fault_events"])
-            metrics.observe("faults.mission_energy_uj",
-                            record["compute_energy_j"] * 1e6)
-    if telemetry is not None:
-        for record in records:
-            telemetry.emit(
-                "overrun_degraded",
-                kernel=record["mission"], arch=record["arch"],
-                count=record["overruns"],
-                worst_latency_us=round(record["worst_latency_s"] * 1e6, 3),
-                steps=0,
-            )
-            for event in record["events"]:
-                detail = dict(event)
-                fault_kind = detail.pop("kind", "")
-                telemetry.emit(
-                    "fault_injected",
-                    kernel=record["mission"], arch=record["arch"],
-                    fault=fault_kind, severity=record["severity"], **detail,
-                )
-            telemetry.emit(
-                "mission_finished",
-                kernel=record["mission"], arch=record["arch"],
-                severity=record["severity"],
-                completed=record["completed"],
-                aborted_by=record["aborted_by"],
-            )
-    return records
 
 
 def run_kernel_grid(
@@ -273,59 +321,32 @@ def run_kernel_grid(
             f"fault {fault.name!r} has no arch seam; it cannot derate "
             f"kernel sweeps (kinds: {fault.kinds})"
         )
-    from repro.core.config import HarnessConfig
-    from repro.core.experiment import SweepSpec
-    from repro.engine import run_sweep_engine
-    from repro.mcu.arch import get_arch
-    from repro.mcu.cache import CACHE_ON
-
     # One derated ArchSpec per (arch, severity); severity 0 is the base
     # arch object itself, so the fault-free column prices bit-identically
     # to a plain sweep.
     base_archs = [get_arch(a) for a in spec.archs]
-    sweep_archs = []
-    label_of: Dict[Tuple[str, float], str] = {}
-    for arch in base_archs:
-        for severity in spec.severity_grid():
-            derated = fault.derate_arch(arch, severity)
-            label_of[(arch.name, severity)] = derated.name
-            sweep_archs.append(derated)
-
-    sweep = SweepSpec(
-        kernels=list(spec.kernels),
-        archs=sweep_archs,
-        caches=(CACHE_ON,),
-        config=HarnessConfig(reps=spec.reps, warmup_reps=spec.warmup),
+    severities = spec.severity_grid()
+    derated = {
+        (arch.name, severity): derated_arch(arch, fault.name, severity)
+        for arch in base_archs for severity in severities
+    }
+    results, _ = run_kernel_sweeps(
+        {None: (spec.kernels, derated.values())},
+        HarnessConfig(reps=spec.reps, warmup_reps=spec.warmup), "faults",
+        options=options, telemetry=telemetry, fault=fault.name,
     )
-    tracer = get_tracer()
-    with tracer.span("faults.kernel_grid", cat="faults", fault=fault.name,
-                     kernels=len(spec.kernels), archs=len(sweep_archs)):
-        results = run_sweep_engine(sweep, options=options, telemetry=telemetry)
-
+    budget_fn = getattr(fault, "peak_budget_w", None)
     grid: List[dict] = []
     for kernel in spec.kernels:
         for arch in base_archs:
-            budget_fn = getattr(fault, "peak_budget_w", None)
-            for severity in spec.severity_grid():
+            for severity in severities:
                 # A missing cell here is a planner bug, not a data gap:
                 # lookup raises a typed ResultKeyError instead of handing
                 # back None for the record math to trip over.
-                result = results.lookup(kernel, label_of[(arch.name, severity)])
-                record = {
-                    "kernel": kernel,
-                    "arch": arch.name,
-                    "severity": severity,
-                    "fits": bool(result.fits),
-                    "unit_latency_us": (
-                        float(result.unit_latency_us) if result.fits else None
-                    ),
-                    "unit_energy_uj": (
-                        float(result.unit_energy_uj) if result.fits else None
-                    ),
-                    "peak_power_mw": (
-                        float(result.peak_power_mw) if result.fits else None
-                    ),
-                }
+                result = results[None].lookup(
+                    kernel, derated[arch.name, severity].name)
+                record = {"kernel": kernel, "arch": arch.name,
+                          "severity": severity, **kernel_record(result)}
                 if budget_fn is not None:
                     budget_w = float(budget_fn(arch, severity))
                     record["peak_budget_mw"] = budget_w * 1e3
@@ -368,7 +389,14 @@ def run_campaign(
                      severities=len(severities)):
         kernel_grid = run_kernel_grid(spec, fault, options=options,
                                       telemetry=telemetry)
-        mission_grid = run_mission_grid(spec, jobs=jobs, telemetry=telemetry)
+        cells = plan_mission_cells(spec)
+        outcomes = run_mission_jobs(cells, FAULT_METRICS, workers=jobs,
+                                    telemetry=telemetry)
+        mission_grid = [
+            {**cell.head, **mission_record(result, RECORD_COLUMNS),
+             "events": events}
+            for cell, (result, events) in zip(cells, outcomes)
+        ]
     out = CampaignResult(
         fault=fault.name,
         seed=spec.seed,

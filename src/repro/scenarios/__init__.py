@@ -18,11 +18,8 @@ plus failure rates).  Both are re-exported by :mod:`repro.api`.
 """
 
 from repro.scenarios.campaign import (
-    MissionJob,
     ScenarioCampaignResult,
     plan_mission_jobs,
-    run_kernel_grid,
-    run_mission_jobs,
     run_scenario_set,
 )
 from repro.scenarios.generator import (
@@ -80,7 +77,6 @@ def run_scenarios(
 __all__ = [
     "GENERATOR_ID",
     "GustHoverMission",
-    "MissionJob",
     "SCENARIO_FORMAT_VERSION",
     "ScenarioCampaignResult",
     "ScenarioGenerator",
@@ -96,8 +92,6 @@ __all__ = [
     "pareto_front",
     "plan_mission_jobs",
     "render_report",
-    "run_kernel_grid",
-    "run_mission_jobs",
     "run_scenario_set",
     "run_scenarios",
     "save_report",

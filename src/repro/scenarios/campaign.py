@@ -1,31 +1,37 @@
-"""Deterministic executor for scenario sets.
+"""Deterministic planner for scenario sets.
 
 Expands a :class:`~repro.scenarios.spec.ScenarioSet` into concrete work
-and runs it the same way the fault layer runs its campaigns:
+for the campaign executor (:mod:`repro.faults.campaign`):
 
 * **kernel scenarios** coalesce into one engine sweep per scalar type —
   kernels priced across every (possibly fault-derated) arch the group
   references, all sweeps sharing one trace cache so a kernel's compute
   solves once per scalar for the whole campaign.
-* **mission scenarios** flatten into per-agent jobs (a swarm is N jobs
-  scored jointly) and run the closed-loop stack, fanned across a process
-  pool when ``jobs > 1``.
+* **mission scenarios** flatten into per-agent mission jobs (a swarm is
+  N jobs scored jointly), fanned across a process pool when ``jobs > 1``.
 
-Determinism contract, inherited from :mod:`repro.faults.campaign`: agent
-seeds derive from ``SeedSequence([scenario_seed, agent])``; workers
-return plain dicts; records collate in job order regardless of worker
-count; metrics are derived at collation.  The same set therefore yields
+Agent seeds derive from ``SeedSequence([scenario_seed, agent])`` and
+seed both the fault hook and the simulated body, so the same set yields
 a byte-identical campaign result for any ``--jobs``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Tuple
 
-import numpy as np
-
+from repro.backends import backend_for
+from repro.closedloop import mission_record
+from repro.core.config import HarnessConfig
+from repro.faults.campaign import (
+    MissionJob,
+    derive_seed,
+    derated_arch,
+    kernel_record,
+    run_kernel_sweeps,
+    run_mission_jobs,
+)
+from repro.mcu.arch import get_arch
 from repro.obs import get_metrics, get_tracer
 from repro.scenarios.profiles import (
     control_rate_of,
@@ -33,26 +39,19 @@ from repro.scenarios.profiles import (
     mission_from_profile,
     runner_kind_of,
 )
-from repro.scenarios.spec import ScenarioSet, ScenarioSpec
+from repro.scenarios.spec import ScenarioSet
 
+#: The metrics a campaign's mission jobs count under.
+SCENARIO_METRICS = ("scenarios.mission_jobs", "scenarios.missions_completed",
+                    "scenarios.missions_failed", "scenarios.fault_injections",
+                    "scenarios.mission_energy_uj")
 
-@dataclass(frozen=True)
-class MissionJob:
-    """One flattened closed-loop run: a single agent of one scenario."""
-
-    index: int
-    scenario: str
-    tier: str
-    #: Agent index within the scenario (0 for non-swarm profiles).
-    agent: int
-    #: Total agents in the scenario (swarm size; 1 otherwise).
-    agents: int
-    profile: dict
-    arch: str
-    scalar: str
-    fault: Optional[str]
-    severity: float
-    seed: int
+#: The outcome columns a scenario mission record keeps, in record order.
+SCENARIO_COLUMNS = (
+    "completed", "duration_s", "path_error_rms", "compute_energy_j",
+    "compute_latency_s", "deadline_hit_rate", "effective_rate_hz",
+    "overruns", "aborted_by", "fault_events",
+)
 
 
 @dataclass
@@ -72,186 +71,35 @@ class ScenarioCampaignResult:
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
 
-def _job_seed(scenario_seed: int, agent: int) -> int:
-    """Stable per-agent seed: independent of worker count and run order."""
-    return int(
-        np.random.SeedSequence([scenario_seed, agent]).generate_state(1)[0]
-    )
-
-
 def plan_mission_jobs(sset: ScenarioSet) -> List[MissionJob]:
     """The mission jobs in canonical order (set order, then agent order)."""
     jobs: List[MissionJob] = []
     for scenario in sset.mission_scenarios():
         agents = flatten_agents(scenario.mission)
-        for agent_idx, profile in enumerate(agents):
+        isa = backend_for(get_arch(scenario.arch)).name
+        for agent, profile in enumerate(agents):
+            seed = derive_seed(scenario.seed, agent)
             jobs.append(MissionJob(
-                index=len(jobs),
-                scenario=scenario.name,
-                tier=scenario.tier,
-                agent=agent_idx,
-                agents=len(agents),
-                profile=profile,
-                arch=scenario.arch,
-                scalar=scenario.scalar,
-                fault=scenario.fault,
-                severity=scenario.severity,
-                seed=_job_seed(scenario.seed, agent_idx),
+                head={
+                    "scenario": scenario.name, "tier": scenario.tier,
+                    "agent": agent, "kind": profile["kind"],
+                    "arch": scenario.arch, "isa": isa,
+                    "scalar": scenario.scalar, "fault": scenario.fault,
+                    "severity": scenario.severity, "seed": seed,
+                },
+                label=scenario.name,
+                track=(f"scenario:{scenario.name}[{agent}]" if len(agents) > 1
+                       else f"scenario:{scenario.name}"),
+                build=mission_from_profile, source=profile,
+                runner=runner_kind_of(profile),
+                control_rate_hz=control_rate_of(profile), arch=scenario.arch,
+                fault=scenario.fault, severity=scenario.severity, seed=seed,
+                body_seed=seed, scalar=scenario.scalar,
             ))
     return jobs
 
 
-def _mission_worker(payload: tuple) -> dict:
-    """Process-pool entry point: fly one agent job, return a plain dict.
-
-    Rebuilds the mission from its JSON-safe profile via
-    :func:`~repro.scenarios.profiles.mission_from_profile`, so a freshly
-    imported worker produces records byte-identical to the in-process
-    path — no registry state crosses the process boundary.
-    """
-    (scenario, tier, agent, profile, arch_name, scalar_name,
-     fault_name, severity, seed) = payload
-    import repro.faults  # noqa: F401 — populate the fault registry
-    from repro.backends import backend_for
-    from repro.closedloop.runner import RUNNER_CLASSES
-    from repro.faults import get_fault
-    from repro.mcu.arch import get_arch
-    from repro.scalar import parse_scalar
-
-    mission = mission_from_profile(profile)
-    rate_hz = control_rate_of(profile)
-    hook = None
-    if fault_name is not None and severity > 0.0:
-        fault = get_fault(fault_name)
-        if "mission" in fault.kinds:
-            hook = fault.mission_hook(
-                severity, seed, mission.duration_s, 1.0 / rate_hz
-            )
-    runner_cls = RUNNER_CLASSES[runner_kind_of(profile)]
-    runner = runner_cls(
-        arch=get_arch(arch_name),
-        scalar=parse_scalar(scalar_name),
-        control_rate_hz=rate_hz,
-        seed=seed,
-        fault_hook=hook,
-    )
-    result = runner.run(mission)
-    return {
-        "scenario": scenario,
-        "tier": tier,
-        "agent": agent,
-        "kind": profile["kind"],
-        "arch": arch_name,
-        "isa": backend_for(get_arch(arch_name)).name,
-        "scalar": scalar_name,
-        "fault": fault_name,
-        "severity": severity,
-        "seed": seed,
-        "completed": bool(result.completed),
-        "duration_s": float(result.duration_s),
-        "path_error_rms": float(result.path_error_rms_m),
-        "compute_energy_j": float(result.compute_energy_j),
-        "compute_latency_s": float(result.compute_latency_s),
-        "deadline_hit_rate": float(result.deadline_hit_rate),
-        "effective_rate_hz": float(result.effective_rate_hz),
-        "overruns": int(result.overruns),
-        "aborted_by": result.aborted_by,
-        "fault_events": int(result.fault_events),
-    }
-
-
-def _job_payload(job: MissionJob) -> tuple:
-    return (job.scenario, job.tier, job.agent, job.profile, job.arch,
-            job.scalar, job.fault, job.severity, job.seed)
-
-
-def _job_track(job: MissionJob) -> str:
-    """Trace-timeline lane for one agent job's sim-time spans."""
-    if job.agents > 1:
-        return f"scenario:{job.scenario}[{job.agent}]"
-    return f"scenario:{job.scenario}"
-
-
-def run_mission_jobs(
-    sset: ScenarioSet,
-    jobs: int = 1,
-    telemetry=None,
-) -> List[dict]:
-    """Execute the mission jobs, collated in canonical job order.
-
-    Observability mirrors the fault campaigns: in-process jobs trace
-    per-step sim-time spans on their own ``scenario:<name>[agent]`` lane;
-    pooled jobs get a synthesized ``mission.run`` summary span each.
-    ``scenarios.*`` metrics are derived here at collation, in job order,
-    so the aggregate is identical for any ``jobs``.
-    """
-    tracer = get_tracer()
-    metrics = get_metrics()
-    planned = plan_mission_jobs(sset)
-    if not planned:
-        return []
-    payloads = [_job_payload(job) for job in planned]
-    if telemetry is not None:
-        for job in planned:
-            telemetry.emit("mission_started", kernel=job.scenario,
-                           arch=job.arch, severity=job.severity)
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            # map() preserves input order: collation is worker-count-proof.
-            records = list(pool.map(_mission_worker, payloads))
-        if tracer.enabled:
-            for job, record in zip(planned, records):
-                tracer.add_span(
-                    "mission.run", 0.0, record["duration_s"], cat="scenarios",
-                    track=_job_track(job), self_s=0.0,
-                    scenario=job.scenario, agent=job.agent, arch=job.arch,
-                    completed=record["completed"],
-                    overruns=record["overruns"],
-                )
-    else:
-        # In-process jobs trace per-step detail; the runners' own metrics
-        # are suppressed so the campaign aggregate comes exclusively from
-        # the collation loop below (identical to the multi-worker path).
-        records = []
-        with metrics.suspended():
-            for job, payload in zip(planned, payloads):
-                track = _job_track(job) if tracer.enabled else None
-                with tracer.on_track(track):
-                    records.append(_mission_worker(payload))
-    if metrics.enabled:
-        for record in records:
-            metrics.inc("scenarios.mission_jobs")
-            metrics.inc("scenarios.missions_completed" if record["completed"]
-                        else "scenarios.missions_failed")
-            metrics.inc("scenarios.fault_injections", record["fault_events"])
-            metrics.observe("scenarios.mission_energy_uj",
-                            record["compute_energy_j"] * 1e6)
-    if telemetry is not None:
-        for record in records:
-            telemetry.emit(
-                "mission_finished",
-                kernel=record["scenario"], arch=record["arch"],
-                severity=record["severity"],
-                completed=record["completed"],
-                aborted_by=record["aborted_by"],
-            )
-    return records
-
-
-def _derated_arch(scenario: ScenarioSpec):
-    """The (possibly fault-derated) ArchSpec a scenario prices on."""
-    from repro.faults import get_fault
-    from repro.mcu.arch import get_arch
-
-    arch = get_arch(scenario.arch)
-    if scenario.fault is not None and scenario.severity > 0.0:
-        fault = get_fault(scenario.fault)
-        if "arch" in fault.kinds:
-            return fault.derate_arch(arch, scenario.severity)
-    return arch
-
-
-def run_kernel_grid(
+def _kernel_grid(
     sset: ScenarioSet,
     options=None,
     telemetry=None,
@@ -259,98 +107,51 @@ def run_kernel_grid(
     """Price every kernel scenario via the engine; one sweep per scalar.
 
     Returns ``(grid, cache_stats)``: one record per (scenario, kernel) in
-    set order, plus the shared trace cache's hit/miss accounting.  All
-    per-scalar sweeps share one :class:`~repro.engine.TraceCache`, so a
-    kernel appearing in many scenarios solves once per scalar.
+    set order, plus the shared trace cache's hit/miss accounting.
     """
     scenarios = sset.kernel_scenarios()
     if not scenarios:
         return [], {}
-    from repro.core.config import HarnessConfig
-    from repro.core.experiment import SweepSpec
-    from repro.engine import EngineOptions, run_sweep_engine
-    from repro.mcu.cache import CACHE_ON
-    from repro.scalar import parse_scalar
-
-    if options is None:
-        options = EngineOptions()
-    shared_cache = options.make_cache()
-    options = replace(options, trace_cache=shared_cache)
-
-    from repro.backends import backend_for
-
     # Coalesce: per scalar, the kernel union across every derated arch.
-    label_of: Dict[str, str] = {}
-    isa_of: Dict[str, str] = {}
-    by_scalar: Dict[str, dict] = {}
-    for scenario in scenarios:
-        arch_obj = _derated_arch(scenario)
-        label_of[scenario.name] = arch_obj.name
-        isa_of[scenario.name] = backend_for(arch_obj).name
-        group = by_scalar.setdefault(
-            scenario.scalar, {"kernels": set(), "archs": {}}
-        )
-        group["kernels"].update(scenario.kernels)
-        group["archs"][arch_obj.name] = arch_obj
-
-    tracer = get_tracer()
-    results_of: Dict[str, object] = {}
-    for scalar_name in sorted(by_scalar):
-        group = by_scalar[scalar_name]
-        sweep = SweepSpec(
-            kernels=sorted(group["kernels"]),
-            archs=[group["archs"][name] for name in sorted(group["archs"])],
-            caches=(CACHE_ON,),
-            config=HarnessConfig(),
-            overrides={"*": {"scalar": parse_scalar(scalar_name)}},
-        )
-        with tracer.span("scenarios.kernel_grid", cat="scenarios",
-                         scalar=scalar_name, kernels=len(sweep.kernels),
-                         archs=len(sweep.archs)):
-            results_of[scalar_name] = run_sweep_engine(
-                sweep, options=options, telemetry=telemetry
-            )
+    arch_of = {
+        s.name: derated_arch(get_arch(s.arch), s.fault, s.severity)
+        for s in scenarios
+    }
+    groups = {}
+    for scalar in sorted({s.scalar for s in scenarios}):
+        members = [s for s in scenarios if s.scalar == scalar]
+        archs = {arch_of[s.name].name: arch_of[s.name] for s in members}
+        kernels = sorted({k for s in members for k in s.kernels})
+        groups[scalar] = (kernels, [archs[a] for a in sorted(archs)])
+    results, cache = run_kernel_sweeps(groups, HarnessConfig(), "scenarios",
+                                       options=options, telemetry=telemetry)
 
     grid: List[dict] = []
     for scenario in scenarios:
-        results = results_of[scenario.scalar]
+        arch = arch_of[scenario.name]
+        isa = backend_for(arch).name
         for kernel in scenario.kernels:
             # A missing cell is a planner bug: lookup raises a typed
             # ResultKeyError instead of handing back None.
-            result = results.lookup(kernel, label_of[scenario.name])
+            result = results[scenario.scalar].lookup(kernel, arch.name)
             grid.append({
                 "scenario": scenario.name,
                 "tier": scenario.tier,
                 "kernel": kernel,
                 "arch": scenario.arch,
-                "arch_label": label_of[scenario.name],
-                "isa": isa_of[scenario.name],
+                "arch_label": arch.name,
+                "isa": isa,
                 "scalar": scenario.scalar,
                 "fault": scenario.fault,
                 "severity": scenario.severity,
-                "fits": bool(result.fits),
-                "unit_latency_us": (
-                    float(result.unit_latency_us) if result.fits else None
-                ),
-                "unit_energy_uj": (
-                    float(result.unit_energy_uj) if result.fits else None
-                ),
-                "peak_power_mw": (
-                    float(result.peak_power_mw) if result.fits else None
-                ),
+                **kernel_record(result),
             })
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("scenarios.kernel_cells", len(grid))
-        metrics.inc("scenarios.cache_hits", shared_cache.stats.hits)
-        metrics.inc("scenarios.cache_misses", shared_cache.stats.misses)
-    stats = {
-        "memory_hits": shared_cache.stats.memory_hits,
-        "disk_hits": shared_cache.stats.disk_hits,
-        "misses": shared_cache.stats.misses,
-        "puts": shared_cache.stats.puts,
-    }
-    return grid, stats
+        metrics.inc("scenarios.cache_hits", cache.stats.hits)
+        metrics.inc("scenarios.cache_misses", cache.stats.misses)
+    return grid, asdict(cache.stats)
 
 
 def run_scenario_set(
@@ -385,12 +186,16 @@ def run_scenario_set(
         with tracer.span("scenarios.campaign", cat="scenarios",
                          tier=sset.tier, scenarios=len(sset),
                          address=sset.address):
-            kernel_grid, cache_stats = run_kernel_grid(
+            kernel_grid, cache_stats = _kernel_grid(
                 sset, options=options, telemetry=telemetry
             )
-            mission_grid = run_mission_jobs(
-                sset, jobs=jobs, telemetry=telemetry
-            )
+            planned = plan_mission_jobs(sset)
+            outcomes = run_mission_jobs(planned, SCENARIO_METRICS,
+                                        workers=jobs, telemetry=telemetry)
+            mission_grid = [
+                {**job.head, **mission_record(result, SCENARIO_COLUMNS)}
+                for job, (result, _) in zip(planned, outcomes)
+            ]
     return ScenarioCampaignResult(
         address=sset.address,
         tier=sset.tier,

@@ -45,6 +45,7 @@ what it runs (asserted in ``tests/test_service.py`` and
 ``tests/test_service_tiers.py``).
 """
 
+from repro.closedloop import mission_record
 from repro.service.admission import AdmissionController
 from repro.service.aio import AsyncServiceServer
 from repro.service.broker import BrokerClosed, ServiceBroker
@@ -65,7 +66,6 @@ from repro.service.queries import (
     MissionQuery,
     QueryOptions,
     WIRE_VERSION,
-    mission_record,
     parse_request,
     query_key,
     request_of,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.closedloop import make_mission, make_runner
+from repro.closedloop import make_mission, make_runner, mission_record
 from repro.core.config import HarnessConfig
 from repro.core.experiment_io import result_to_dict
 from repro.engine import EngineOptions, build_cell_plan, run_plan
@@ -49,7 +49,6 @@ from repro.service.cache import ResultCache
 from repro.service.queries import (
     SERVICE_FORMAT_VERSION,
     Query,
-    mission_record,
     query_key,
     query_kind,
 )

@@ -281,28 +281,6 @@ def query_key(query: Query, config: HarnessConfig = None) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
-def mission_record(result) -> dict:
-    """JSON-ready record of one :class:`~repro.closedloop.MissionResult`.
-
-    Field-for-field the shape the fault campaign's mission grid records
-    use, minus the fault-only columns — so mission answers collate with
-    campaign rows without renaming.
-    """
-    return {
-        "completed": bool(result.completed),
-        "duration_s": float(result.duration_s),
-        "path_error_rms": float(result.path_error_rms_m),
-        "path_error_max": float(result.path_error_max_m),
-        "compute_energy_j": float(result.compute_energy_j),
-        "compute_latency_s": float(result.compute_latency_s),
-        "deadline_hit_rate": float(result.deadline_hit_rate),
-        "effective_rate_hz": float(result.effective_rate_hz),
-        "overruns": int(result.overruns),
-        "worst_latency_s": float(result.worst_latency_s),
-        "aborted_by": result.aborted_by,
-    }
-
-
 def parse_request(request: dict) -> Query:
     """Build the query a JSONL wire request describes (validated).
 

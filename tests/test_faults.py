@@ -32,13 +32,22 @@ from repro.faults import (
     run_campaign,
     save_report,
 )
-from repro.faults.campaign import _mission_worker, plan_mission_cells
+from repro.faults.campaign import (
+    mission_cell,
+    plan_mission_cells,
+    run_mission_job,
+)
 from repro.faults.power import battery_voltage_frac
 from repro.instrumentation.gpio import GpioBus
 from repro.instrumentation.logic_analyzer import LogicAnalyzer
 from repro.instrumentation.power_monitor import CurrentTrace, PowerMonitor
 from repro.mcu.arch import M33, get_arch
 from repro.mcu.cache import CACHE_ON
+
+
+def _fly_cell(fault, mission, arch, severity, seed):
+    """Fly one fault-campaign mission cell in-process: (result, events)."""
+    return run_mission_job(mission_cell(fault, mission, arch, severity, seed))
 
 
 class TestRegistry:
@@ -123,11 +132,11 @@ class TestNoFaultBitIdentity:
         assert base.effective_rate_hz == hooked.effective_rate_hz
 
     def test_severity_zero_mission_cell_matches_plain_runner(self):
-        record = _mission_worker(("brownout", "hover", "m33", 0.0, 99))
+        result, events = _fly_cell("brownout", "hover", "m33", 0.0, 99)
         plain = FlappingWingRunner(arch=M33).run(HoverMission())
-        assert record["path_error_rms"] == plain.path_error_rms_m
-        assert record["compute_energy_j"] == plain.compute_energy_j
-        assert record["fault_events"] == 0
+        assert result.path_error_rms_m == plain.path_error_rms_m
+        assert result.compute_energy_j == plain.compute_energy_j
+        assert result.fault_events == 0 and events == []
 
 
 class TestSensorFaults:
@@ -211,8 +220,8 @@ class TestMissionFaults:
     def test_hover_completion_monotone_in_brownout_severity(self):
         completed = []
         for severity in (0.0, 0.5, 1.0):
-            record = _mission_worker(("brownout", "hover", "m33", severity, 123))
-            completed.append(record["completed"])
+            result, _ = _fly_cell("brownout", "hover", "m33", severity, 123)
+            completed.append(result.completed)
         # Completion only ever degrades with severity, and a full-depth
         # brownout crosses the reset threshold and kills the flight.
         assert all(a >= b for a, b in zip(completed, completed[1:]))
@@ -220,19 +229,19 @@ class TestMissionFaults:
         assert completed[-1] is False
 
     def test_brownout_reset_reports_failure_forensics(self):
-        record = _mission_worker(("brownout", "hover", "m33", 1.0, 123))
-        assert record["aborted_by"] == "brownout_reset"
-        assert record["time_to_failure_s"] is not None
-        assert 0.0 < record["time_to_failure_s"] < HoverMission().duration_s
-        assert record["energy_to_abort_j"] > 0.0
-        assert any(e["kind"] == "brownout_reset" for e in record["events"])
+        result, events = _fly_cell("brownout", "hover", "m33", 1.0, 123)
+        assert result.aborted_by == "brownout_reset"
+        assert result.time_to_failure_s is not None
+        assert 0.0 < result.time_to_failure_s < HoverMission().duration_s
+        assert result.energy_to_abort_j > 0.0
+        assert any(e["kind"] == "brownout_reset" for e in events)
 
     def test_overrun_storm_inflates_latency_and_slows_loop(self):
-        calm = _mission_worker(("overrun-storm", "hover", "m0plus", 0.0, 5))
-        storm = _mission_worker(("overrun-storm", "hover", "m0plus", 1.0, 5))
-        assert storm["worst_latency_s"] > 2.0 * calm["worst_latency_s"]
-        assert storm["effective_rate_hz"] < calm["effective_rate_hz"]
-        assert storm["fault_events"] > 0
+        calm, _ = _fly_cell("overrun-storm", "hover", "m0plus", 0.0, 5)
+        storm, _ = _fly_cell("overrun-storm", "hover", "m0plus", 1.0, 5)
+        assert storm.worst_latency_s > 2.0 * calm.worst_latency_s
+        assert storm.effective_rate_hz < calm.effective_rate_hz
+        assert storm.fault_events > 0
 
     def test_overrun_degraded_telemetry_emitted(self):
         telemetry = Telemetry()

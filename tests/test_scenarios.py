@@ -241,10 +241,13 @@ def test_unknown_tier_raises():
 
 def test_mission_jobs_flatten_swarms_with_stable_seeds():
     jobs = plan_mission_jobs(_tiny_set())
-    assert [(j.scenario, j.agent) for j in jobs] == [
+    assert [(j.head["scenario"], j.head["agent"]) for j in jobs] == [
         ("t-hover", 0), ("t-swarm", 0), ("t-swarm", 1),
     ]
-    assert jobs[1].agents == 2
+    # Only a swarm's agents get per-agent trace lanes.
+    assert [j.track for j in jobs] == [
+        "scenario:t-hover", "scenario:t-swarm[0]", "scenario:t-swarm[1]",
+    ]
     again = plan_mission_jobs(_tiny_set())
     assert [j.seed for j in jobs] == [j.seed for j in again]
     # Agents of one swarm get distinct derived seeds.
