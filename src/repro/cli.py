@@ -5,8 +5,8 @@ Mirrors the artifact's make-target workflow with subcommands::
     python -m repro list                       # the registered suite
     python -m repro run mahony --arch m4       # one kernel, one core
     python -m repro sweep --kernels mahony,p3p --out results.json
-    python -m repro sweep --jobs 4 --cache-dir .trace-cache --resume \
-        --out results.json                     # engine: parallel + cached
+    python -m repro sweep --jobs 4 --cache-dir .trace-cache \
+        --out results.json                     # parallel + cached; rerun resumes
     python -m repro tables --table 4           # regenerate a paper table
     python -m repro mission hover --arch m33   # closed-loop evaluation
     python -m repro faults --fault brownout --mission hover \
@@ -155,17 +155,10 @@ def _engine_options(args):
     """Build EngineOptions from the shared --jobs/--cache-dir/... flags."""
     from repro.engine import EngineOptions
 
-    checkpoint = getattr(args, "checkpoint", None)
-    resume = bool(getattr(args, "resume", False))
-    if resume and checkpoint is None and getattr(args, "out", None):
-        # --resume without an explicit checkpoint derives one from --out.
-        checkpoint = str(Path(args.out).with_suffix(".checkpoint.jsonl"))
     return EngineOptions(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not getattr(args, "no_cache", False),
-        checkpoint=checkpoint,
-        resume=resume,
         vectorize=getattr(args, "price", "vector") != "serial",
     )
 
@@ -198,7 +191,6 @@ def _cmd_sweep(args) -> int:
         f"engine    : {summary['solves_executed']} solves, "
         f"{summary['cache_hits']} cache hits "
         f"({summary['cache_hit_rate']:.0%}), "
-        f"{summary['cells_resumed']} cells resumed, "
         f"{summary['wall_s']:.2f}s wall "
         f"(~{summary['est_speedup_vs_serial']:.1f}x vs serial)"
     )
@@ -526,10 +518,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
                    help="persistent trace-cache directory")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the trace cache (always re-solve)")
-    p.add_argument("--checkpoint", default=None,
-                   help="checkpoint file for kill-resume (JSONL)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from the checkpoint's completed cells")
     p.add_argument("--price", choices=("vector", "serial"), default="vector",
                    help="price stage: columnar batch (default) or the "
                         "serial per-cell reference; results are "

@@ -8,8 +8,8 @@ into the paper's tables.
 Since the engine landed, :func:`run_sweep` is a thin compatibility wrapper
 over :mod:`repro.engine`, which solves each kernel configuration once and
 re-prices its op-traces across every (core, cache) cell — optionally in
-parallel, against a persistent trace cache, and resumable from a
-checkpoint.  :func:`run_sweep_serial` keeps the original quadruple loop as
+parallel, and against a persistent trace cache that a killed sweep
+resumes from.  :func:`run_sweep_serial` keeps the original quadruple loop as
 the reference implementation; the engine's results are asserted
 bit-identical to it in ``tests/test_engine.py``.
 """
@@ -214,8 +214,9 @@ def run_sweep(
     same signature and bit-identical results as the historical serial
     driver, but each kernel configuration is solved only once and
     re-priced across cells.  Pass ``options``
-    (:class:`repro.engine.EngineOptions`) for parallel workers, a
-    persistent trace cache, or checkpoint/resume, and ``telemetry``
+    (:class:`repro.engine.EngineOptions`) for parallel workers or a
+    persistent trace cache (rerun with the same ``cache_dir`` to resume
+    a killed sweep), and ``telemetry``
     (:class:`repro.engine.Telemetry`) to capture structured events.
     """
     from repro.engine import run_sweep_engine

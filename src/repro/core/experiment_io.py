@@ -5,10 +5,11 @@ semihosting and lets problems buffer results on-device (``SavesResults``).
 Here it persists sweeps: results serialize to JSON (full fidelity,
 including operation traces) and CSV (one summary row per configuration,
 convenient for plotting), and reload into the same dataclasses.  The
-execution engine additionally persists through this module: sweep
-checkpoints (JSONL of completed cells, for kill-resume) and per-sweep
-telemetry summaries (cache hit rate, cells run/skipped, wall time) written
-next to the experiment output.
+execution engine additionally writes per-sweep telemetry summaries (cache
+hit rate, cells run/skipped, wall time) next to the experiment output
+through this module.  Solved kernel profiles persist in the engine's
+trace cache instead (:mod:`repro.engine.trace_cache`), which is also how
+a killed sweep resumes: rerun it with the same ``cache_dir``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, List, TextIO, Tuple, Union
+from typing import List, Union
 
 from repro.core.experiment import SweepResults
 from repro.core.results import BenchmarkResult, RunRecord
@@ -25,7 +26,6 @@ from repro.mcu.ops import OpTrace
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
-_CHECKPOINT_VERSION = 1
 
 
 def _run_to_dict(run: RunRecord) -> dict:
@@ -54,7 +54,8 @@ def _run_from_dict(data: dict) -> RunRecord:
     )
 
 
-def _result_to_dict(result: BenchmarkResult) -> dict:
+def result_to_dict(result: BenchmarkResult) -> dict:
+    """Serialize one result with full per-run fidelity (public API)."""
     return {
         "kernel": result.kernel,
         "arch": result.arch,
@@ -69,7 +70,8 @@ def _result_to_dict(result: BenchmarkResult) -> dict:
     }
 
 
-def _result_from_dict(data: dict) -> BenchmarkResult:
+def result_from_dict(data: dict) -> BenchmarkResult:
+    """Rebuild a result serialized by :func:`result_to_dict`."""
     result = BenchmarkResult(
         kernel=data["kernel"],
         arch=data["arch"],
@@ -85,22 +87,12 @@ def _result_from_dict(data: dict) -> BenchmarkResult:
     return result
 
 
-def result_to_dict(result: BenchmarkResult) -> dict:
-    """Serialize one result with full per-run fidelity (public API)."""
-    return _result_to_dict(result)
-
-
-def result_from_dict(data: dict) -> BenchmarkResult:
-    """Rebuild a result serialized by :func:`result_to_dict`."""
-    return _result_from_dict(data)
-
-
 def save_results_json(results: SweepResults, path: PathLike) -> Path:
     """Persist a sweep with full per-run fidelity."""
     path = Path(path)
     payload = {
         "format_version": _FORMAT_VERSION,
-        "results": [_result_to_dict(r) for r in results.results],
+        "results": [result_to_dict(r) for r in results.results],
     }
     path.write_text(json.dumps(payload, indent=1))
     return path
@@ -117,7 +109,7 @@ def load_results_json(path: PathLike) -> SweepResults:
         )
     out = SweepResults()
     for entry in data["results"]:
-        out.add(_result_from_dict(entry))
+        out.add(result_from_dict(entry))
     return out
 
 
@@ -165,69 +157,6 @@ def load_results_csv(path: PathLike) -> List[dict]:
     """Read back the CSV summary (as dicts; numbers remain strings)."""
     with Path(path).open(newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-# -- engine checkpoints -------------------------------------------------------
-#
-# A checkpoint is a JSONL file: a header line carrying the format version
-# and the sweep plan's fingerprint, then one line per completed cell.  The
-# engine appends a line (and flushes) after pricing each cell, so a killed
-# sweep loses at most the in-flight cell; on resume, completed cells are
-# reloaded and neither re-priced nor — when a whole kernel's cells are
-# covered — re-solved.
-
-CellKey = Tuple[str, str, str]  # (kernel, arch, cache label)
-
-
-def init_checkpoint(path: PathLike, fingerprint: str) -> Path:
-    """Start (or restart) a checkpoint file for one planned sweep."""
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"checkpoint_version": _CHECKPOINT_VERSION, "fingerprint": fingerprint}
-    path.write_text(json.dumps(header) + "\n")
-    return path
-
-
-def write_checkpoint_line(fh: TextIO, cell: CellKey, result: BenchmarkResult) -> None:
-    """Append one completed cell; flushed so a kill loses at most one."""
-    fh.write(json.dumps({"cell": list(cell), "result": _result_to_dict(result)}) + "\n")
-    fh.flush()
-
-
-def load_checkpoint(path: PathLike, fingerprint: str) -> Dict[CellKey, BenchmarkResult]:
-    """Reload completed cells from a checkpoint.
-
-    Raises ``ValueError`` if the checkpoint belongs to a different sweep
-    plan (changed kernels/archs/caches/config would make its cells lie).
-    A torn final line — the kill happened mid-write — is ignored.
-    """
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        return {}
-    header = json.loads(lines[0])
-    version = header.get("checkpoint_version")
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {version!r} "
-            f"(expected {_CHECKPOINT_VERSION})"
-        )
-    if header.get("fingerprint") != fingerprint:
-        raise ValueError(
-            "checkpoint does not match this sweep plan "
-            "(kernels/archs/caches/config changed); delete it or drop --resume"
-        )
-    done: Dict[CellKey, BenchmarkResult] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            cell = tuple(entry["cell"])
-            done[cell] = _result_from_dict(entry["result"])
-        except (ValueError, KeyError, TypeError):
-            break  # torn tail from a mid-write kill; everything before is good
-    return done
 
 
 # -- telemetry summaries ------------------------------------------------------

@@ -5,9 +5,11 @@ scalar grid where the expensive axis — actually executing each kernel's
 compute — is independent of core and cache state.  The engine exploits
 that: a planner groups a sweep's cells by solve configuration, a
 content-addressed trace cache persists solved profiles across runs, a
-process-pool executor fans the remaining solves out in parallel with
-checkpoint/resume, and a telemetry layer replaces the bare progress
-string with structured events and a summary report.  The price stage
+process-pool executor fans the remaining solves out in parallel, and a
+telemetry layer replaces the bare progress string with structured events
+and a summary report.  The trace cache is also the resume path: each
+solve is written to ``cache_dir`` as it finishes, so a killed sweep
+rerun with the same directory re-solves only what had not finished.  The price stage
 runs through the columnar :mod:`repro.vecprice` batch pricer by default
 (``EngineOptions(vectorize=False)`` restores the serial per-cell
 reference; both produce byte-identical results — ``docs/pricing.md``).

@@ -2,28 +2,27 @@
 
 Orchestrates a planned sweep end to end:
 
-1. **Resume** — with a checkpoint file, previously completed cells are
-   reloaded (guarded by a plan fingerprint) and neither re-priced nor,
-   when a whole job's cells are already done, re-solved.
-2. **Cache lookup** — each remaining job's profile is fetched from the
+1. **Cache lookup** — each job's profile is fetched from the
    :class:`~repro.engine.trace_cache.TraceCache` by content address.
-3. **Solve** — cache misses fan out across a ``ProcessPoolExecutor``
+2. **Solve** — cache misses fan out across a ``ProcessPoolExecutor``
    (``jobs > 1``) or run inline (``jobs == 1``); each job executes its
-   kernel's real compute exactly once, however many cells need it.
-4. **Price** — every cell is priced from its job's profile in the
+   kernel's real compute exactly once, however many cells need it, and
+   its profile is written to the cache as soon as it finishes.  A killed
+   sweep rerun with the same ``cache_dir`` therefore re-solves only the
+   jobs that had not finished.
+3. **Price** — every cell is priced from its job's profile in the
    canonical (arch, cache, kernel) order, producing a
    :class:`~repro.core.experiment.SweepResults` whose ordering and values
-   are bit-identical to the serial driver's; each priced cell is appended
-   to the checkpoint so a killed sweep restarts from where it died.
+   are bit-identical to the serial driver's.
    By default the whole stage runs through the columnar
    :func:`repro.vecprice.price_batch` pricer (one batched matrix op for
-   every remaining cell, byte-identical to per-cell
+   every cell, byte-identical to per-cell
    :func:`~repro.engine.profile.price_profile` — see ``docs/pricing.md``);
    ``EngineOptions(vectorize=False)`` keeps the serial reference path.
 
 Telemetry events trace every stage; the collector's summary reports cache
-hit rate, cells run/skipped/resumed, and the estimated speedup over the
-serial driver.
+hit rate, cells run/skipped, and the estimated speedup over the serial
+driver.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class EngineOptions:
     use_cache: bool = True
     #: Share a pre-built cache instance (overrides cache_dir/use_cache).
     trace_cache: Optional[TraceCache] = None
-    #: Checkpoint file (JSONL) for kill-resume; None = no checkpointing.
-    checkpoint: Optional[Union[str, Path]] = None
-    #: Reload completed cells from an existing checkpoint before running.
-    resume: bool = False
     #: Price cells through the columnar :mod:`repro.vecprice` batch path
     #: (byte-identical to the serial reference, ~10x faster at campaign
     #: scale); False falls back to per-cell ``price_profile``.
@@ -94,7 +89,6 @@ def _strict_memory_prescan(plan: SweepPlan, config) -> None:
 
 
 def _resolve_profiles(
-    plan: SweepPlan,
     pending: List[SolveJob],
     options: EngineOptions,
     cache: TraceCache,
@@ -103,8 +97,7 @@ def _resolve_profiles(
     """Fetch or compute the profile for every job that needs one.
 
     Args:
-        plan: The expanded sweep plan (for job/cell bookkeeping).
-        pending: Jobs whose profiles are still required.
+        pending: Jobs whose profiles are required.
         options: Execution options (worker count, cache wiring).
         cache: The trace cache to consult and fill.
         telemetry: Event collector for solve/cache lifecycle events.
@@ -206,7 +199,6 @@ def run_plan(
     telemetry: Optional[Telemetry] = None,
 ):
     """Execute a planned sweep; returns ordered ``SweepResults``."""
-    from repro.core import experiment_io
     from repro.core.experiment import SweepResults
 
     options = options or EngineOptions()
@@ -227,42 +219,23 @@ def run_plan(
     config = plan.config
     _strict_memory_prescan(plan, config)
 
-    # Resume: reload completed cells, guarded by the plan fingerprint.
-    fingerprint = plan.fingerprint()
-    done: Dict[Cell, object] = {}
-    checkpoint = Path(options.checkpoint) if options.checkpoint else None
-    if checkpoint is not None:
-        if options.resume and checkpoint.exists():
-            done = experiment_io.load_checkpoint(checkpoint, fingerprint)
-        else:
-            experiment_io.init_checkpoint(checkpoint, fingerprint)
-
-    # Jobs whose cells are all checkpointed need no profile at all.
-    pending = [
-        job for job in plan.jobs
-        if job.needs_solve and any(c not in done for c in job.priced_cells)
-    ]
-    profiles = _resolve_profiles(plan, pending, options, cache, telemetry)
+    pending = [job for job in plan.jobs if job.needs_solve]
+    profiles = _resolve_profiles(pending, options, cache, telemetry)
 
     # Price every cell in canonical order.
     telemetry.stage_start("price")
     out = SweepResults()
-    ckpt_fh = checkpoint.open("a") if checkpoint is not None else None
-    price_span = tracer.span("engine.price", cat="engine",
-                             cells=len(plan.cells))
-    try:
-        price_span.__enter__()
-        # Vectorized path: price every remaining cell in one columnar
+    with tracer.span("engine.price", cat="engine", cells=len(plan.cells)):
+        # Vectorized path: price every priced cell in one columnar
         # batch up front (byte-identical to per-cell price_profile),
         # then drain the results through the same bookkeeping loop so
-        # ordering, telemetry, metrics, and checkpoint lines are
-        # indistinguishable from the serial path.
+        # ordering, telemetry and metrics are indistinguishable from
+        # the serial path.
         batched: Dict[Cell, object] = {}
         if options.vectorize:
             todo = [
                 cell for cell in plan.cells
-                if cell not in done
-                and cell not in plan.job_of_kernel[cell.kernel].skip_cells
+                if cell not in plan.job_of_kernel[cell.kernel].skip_cells
             ]
             if todo:
                 with tracer.span("engine.price_batch", cat="engine",
@@ -278,14 +251,6 @@ def run_plan(
                 batched = dict(zip(todo, priced))
         for cell in plan.cells:
             job = plan.job_of_kernel[cell.kernel]
-            if cell in done:
-                out.add(done[cell])
-                telemetry.emit(
-                    "cell_resumed",
-                    kernel=cell.kernel, arch=cell.arch, cache=cell.cache,
-                )
-                metrics.inc("engine.cells_resumed")
-                continue
             arch = plan.archs[cell.arch]
             cache_config = plan.caches[cell.cache]
             if cell in job.skip_cells:
@@ -327,12 +292,6 @@ def run_plan(
                                         result.unit_energy_uj)
                         metrics.inc(f"engine.energy_uj.{cell.arch}",
                                     result.unit_energy_uj)
-            if ckpt_fh is not None:
-                experiment_io.write_checkpoint_line(ckpt_fh, cell, result)
-    finally:
-        price_span.__exit__(None, None, None)
-        if ckpt_fh is not None:
-            ckpt_fh.close()
     telemetry.stage_end("price")
 
     telemetry.cache_stats = cache.stats.as_dict()

@@ -135,17 +135,6 @@ class SweepPlan:
             len(job.priced_cells) - 1 for job in self.jobs if job.needs_solve
         )
 
-    def fingerprint(self) -> str:
-        """Identity of the planned work, used to guard checkpoint resume."""
-        payload = json.dumps(
-            {
-                "cells": [list(c) for c in self.cells],
-                "keys": [job.key for job in self.jobs],
-            },
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:32]
-
 
 def _make_job(kernel: str, kwargs: dict, config: HarnessConfig) -> SolveJob:
     """Instantiate a throwaway probe and derive one kernel's solve job."""

@@ -1,7 +1,7 @@
 """Structured sweep telemetry.
 
 Replaces the bare ``Callable[[str], None]`` progress hook with typed
-events: cell lifecycle (finished / skipped / resumed), solve lifecycle
+events: cell lifecycle (finished / skipped), solve lifecycle
 (started / finished / cache hit), and sweep bracketing.  Subscribers
 receive every event as it is emitted; the collector additionally keeps
 counters and per-stage wall-clock so a sweep ends with a one-shot
@@ -28,7 +28,6 @@ EVENT_KINDS = (
     "cache_hit",
     "cell_finished",
     "cell_skipped",
-    "cell_resumed",
     "sweep_finished",
     # Fault-campaign lifecycle (repro.faults): campaign bracketing, one
     # event per mission cell, one per injected fault occurrence, and the
@@ -178,17 +177,15 @@ class Telemetry:
         """One flat dict summarizing the run (cells, solves, cache, speedup)."""
         cells_run = self.counts.get("cell_finished", 0)
         cells_skipped = self.counts.get("cell_skipped", 0)
-        cells_resumed = self.counts.get("cell_resumed", 0)
         solves = self.counts.get("solve_finished", 0)
         cache_hits = self.counts.get("cache_hit", 0)
         lookups = solves + cache_hits
         wall = self.wall_s
         serial_est = self.serial_estimate_s()
         return {
-            "cells_total": cells_run + cells_skipped + cells_resumed,
+            "cells_total": cells_run + cells_skipped,
             "cells_run": cells_run,
             "cells_skipped": cells_skipped,
-            "cells_resumed": cells_resumed,
             "solves_executed": solves,
             "cache_hits": cache_hits,
             "cache_hit_rate": cache_hits / lookups if lookups else 0.0,

@@ -7,17 +7,20 @@ automatic.  Two layers back the lookup:
 
 * an in-process dict, so one sweep never solves the same configuration
   twice even without a cache directory;
-* an optional on-disk directory of ``<key>.json`` profile snapshots, so
-  repeated sweeps (CLI reruns, benchmark regenerations, test sessions)
-  hit disk instead of recomputing SIFT pyramids and RANSAC trials.
+* an optional on-disk :class:`EntryStore` of ``<key>.json`` profile
+  snapshots, so repeated sweeps (CLI reruns, benchmark regenerations,
+  test sessions) hit disk instead of recomputing SIFT pyramids and
+  RANSAC trials.
 
-Disk writes go through a temp file + atomic rename, so a killed sweep
-never leaves a torn cache entry; unreadable or version-mismatched entries
-are treated as misses and overwritten.
+Each solve is written as it finishes, so a killed run rerun with the same
+``cache_dir`` re-solves only what had not finished.  :class:`EntryStore`
+(shared with the service's L2 spill) writes through a temp file + atomic
+rename; a missing, torn, or non-object file reads as a miss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -26,6 +29,54 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.engine.profile import KernelProfile
+
+
+class EntryStore:
+    """A directory of ``<key>.json`` files, one JSON object per key.
+
+    Args:
+        root: Directory holding the entries (created if missing).
+    """
+
+    def __init__(self, root: Union[str, Path]):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def path(self, key: str) -> Path:
+        """The file owning ``key``."""
+        return self.root / f"{key}.json"
+
+    def read(self, key: str) -> Optional[dict]:
+        """The object under ``key``; None if missing, torn, or not one."""
+        try:
+            entry = json.loads(self.path(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        return entry if isinstance(entry, dict) else None
+
+    def write(self, key: str, entry: dict) -> None:
+        """Store ``entry`` as compact JSON, keys in insertion order.
+
+        The bytes go to a temp file that is then renamed over the entry,
+        so readers see the old file or the new one, never a torn write.
+        """
+        fd, tmp_name = tempfile.mkstemp(
+            dir=str(self.root), prefix=f".{key}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(entry, separators=(",", ":")))
+            os.replace(tmp_name, self.path(key))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+
+    def __contains__(self, key: str) -> bool:
+        return self.path(key).is_file()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.root.glob("*.json"))
 
 
 @dataclass
@@ -73,14 +124,10 @@ class TraceCache:
     _memory: Dict[str, KernelProfile] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        self._disk: Optional[EntryStore] = None
         if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key}.json"
+            self._disk = EntryStore(self.cache_dir)
+            self.cache_dir = self._disk.root
 
     def get(self, key: str) -> Optional[KernelProfile]:
         """Look up a profile by content address.
@@ -99,48 +146,27 @@ class TraceCache:
         if key in self._memory:
             self.stats.memory_hits += 1
             return self._memory[key]
-        path = self._path(key)
-        if path is not None and path.exists():
-            try:
-                profile = KernelProfile.from_dict(json.loads(path.read_text()))
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                # Torn, stale, or foreign file: treat as a miss; a fresh
-                # solve will overwrite it.
-                self.stats.misses += 1
-                return None
-            self._memory[key] = profile
-            self.stats.disk_hits += 1
-            return profile
-        self.stats.misses += 1
-        return None
+        entry = self._disk.read(key) if self._disk is not None else None
+        try:
+            profile = KernelProfile.from_dict(entry) if entry else None
+        except (ValueError, KeyError, TypeError):
+            # Stale or foreign entry: a fresh solve will overwrite it.
+            profile = None
+        if profile is None:
+            self.stats.misses += 1
+            return None
+        self._memory[key] = profile
+        self.stats.disk_hits += 1
+        return profile
 
     def put(self, key: str, profile: KernelProfile) -> None:
-        """Store a profile in memory and (when configured) on disk.
-
-        Disk writes are atomic (tempfile + rename) so a killed sweep
-        can never leave a torn entry behind.
-        """
+        """Store a profile in memory and (when configured) on disk."""
         if not self.enabled:
             return
         self._memory[key] = profile
-        path = self._path(key)
-        if path is None:
-            return
-        payload = json.dumps(profile.to_dict(), separators=(",", ":"))
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.cache_dir), prefix=f".{key}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.puts += 1
+        if self._disk is not None:
+            self._disk.write(key, profile.to_dict())
+            self.stats.puts += 1
 
     def profiles(self) -> Dict[str, KernelProfile]:
         """Snapshot of every profile currently resident in memory.
@@ -156,15 +182,10 @@ class TraceCache:
     def __contains__(self, key: str) -> bool:
         if not self.enabled:
             return False
-        if key in self._memory:
-            return True
-        path = self._path(key)
-        return path is not None and path.exists()
+        return key in self._memory or (
+            self._disk is not None and key in self._disk
+        )
 
     def __len__(self) -> int:
-        disk = (
-            len(list(self.cache_dir.glob("*.json")))
-            if self.cache_dir is not None
-            else 0
-        )
+        disk = len(self._disk) if self._disk is not None else 0
         return max(len(self._memory), disk)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -194,9 +193,9 @@ def run_kernel_sweeps(groups, config, layer: str, options=None,
 
     ``groups`` maps a scalar type (None: each kernel's own) to the
     ``(kernels, archs)`` one engine sweep prices, cache on, in the order
-    given; a kernel solves once per scalar type.  A scalar group
-    checkpoints to its own file derived from ``options.checkpoint``
-    (``ck.jsonl`` -> ``ck.f32.jsonl``), so each resumes on its own.
+    given; a kernel solves once per scalar type.  With a ``cache_dir``
+    in ``options`` each solve is kept on disk as it finishes, so a
+    killed campaign rerun over that directory re-solves only the rest.
     Returns each group's ``SweepResults`` by scalar, and the cache.
     """
     from repro.core.experiment import SweepSpec
@@ -209,20 +208,16 @@ def run_kernel_sweeps(groups, config, layer: str, options=None,
     tracer = get_tracer()
     results = {}
     for scalar, (kernels, archs) in groups.items():
-        group_options, tags, overrides = options, dict(span_args), {}
+        tags, overrides = dict(span_args), {}
         if scalar is not None:
             overrides = {"*": {"scalar": parse_scalar(scalar)}}
             tags["scalar"] = scalar
-            if options.checkpoint is not None:
-                path = Path(options.checkpoint)
-                group_options = replace(options, checkpoint=path.with_name(
-                    f"{path.stem}.{scalar}{path.suffix}"))
         spec = SweepSpec(kernels=list(kernels), archs=list(archs),
                          caches=(CACHE_ON,), config=config,
                          overrides=overrides)
         with tracer.span(f"{layer}.kernel_grid", cat=layer, **tags,
                          kernels=len(spec.kernels), archs=len(spec.archs)):
-            results[scalar] = run_sweep_engine(spec, options=group_options,
+            results[scalar] = run_sweep_engine(spec, options=options,
                                                telemetry=telemetry)
     return results, cache
 
@@ -366,9 +361,11 @@ def run_campaign(
     """Execute one full fault campaign (kernel grid + mission grid).
 
     ``options`` are :class:`~repro.engine.EngineOptions` for the kernel
-    sweep (trace cache, checkpointing); ``jobs`` additionally fans the
-    mission cells across a process pool.  The same spec and seed yield a
-    byte-identical :class:`CampaignResult` for any ``jobs``.
+    sweep (workers, trace cache); ``jobs`` additionally fans the mission
+    cells across a process pool.  The same spec and seed yield a
+    byte-identical :class:`CampaignResult` for any ``jobs``, and a killed
+    campaign rerun with the same ``cache_dir`` re-solves only the kernels
+    it had not finished.
     """
     fault = get_fault(spec.fault)
     severities = spec.severity_grid()

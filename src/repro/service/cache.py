@@ -7,10 +7,13 @@ The service read path is three tiers deep (see ``docs/service.md``):
   (:func:`repro.service.queries.query_key`).  A repeat query is a
   dictionary move-to-front, never a re-price.
 * **L2** — :class:`SpillCache`: answers evicted from L1 spill to disk
-  in the trace-cache directory format (one ``<key>.json`` per entry,
-  atomic tempfile + ``os.replace`` writes), so a cold L1 still answers
-  from a file read instead of a solve.  :class:`TieredResultCache`
-  wires L1 eviction → L2 spill and L2 hit → L1 promotion together.
+  through the trace cache's own
+  :class:`~repro.engine.trace_cache.EntryStore` (one ``<key>.json`` per
+  entry, atomic writes, a torn file is a miss), so a cold L1 still
+  answers from a file read instead of a solve.  Entries are content
+  addressed and never change, so each is written once per process.
+  :class:`TieredResultCache` wires L1 eviction → L2 spill and L2 hit →
+  L1 promotion together.
 * **L3** — the engine's :class:`~repro.engine.trace_cache.TraceCache`
   of *solve profiles* (the expensive kernel compute); an L1+L2 miss
   that still hits L3 re-prices a cached solve instead of re-solving.
@@ -24,17 +27,17 @@ safe precisely because nothing mutates answers.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Optional, Tuple
+
+from repro.engine.trace_cache import EntryStore
 
 #: Bumped when the spill-file envelope changes; mismatched entries are
 #: treated as misses, exactly like the trace cache's format version.
-SPILL_FORMAT_VERSION = 1
+#: Version 2 keeps the payload's key order, so an answer read back from
+#: the spill encodes to the same bytes as the one that was evicted.
+SPILL_FORMAT_VERSION = 2
 
 
 class ResultCache:
@@ -122,79 +125,65 @@ class ResultCache:
 class SpillCache:
     """The on-disk L2 tier: one ``<key>.json`` file per spilled answer.
 
-    Mirrors the trace-cache directory format — content-address filename,
-    versioned JSON envelope, atomic tempfile + ``os.replace`` writes so
-    concurrent spills and torn writes can never corrupt an entry.  A
-    torn, foreign, or version-mismatched file is simply a miss.
+    Each file holds a versioned ``{spill_version, key, payload}``
+    envelope in an :class:`~repro.engine.trace_cache.EntryStore`.  A
+    torn, foreign, non-object or version-mismatched file is a miss.  A key
+    whose file this process has written or read whole is not written
+    again; a miss forgets the key, so a torn file is rewritten on the
+    next spill.
 
     Args:
-        spill_dir: Directory for spilled entries (created on demand).
+        spill_dir: Directory for spilled entries (created if missing).
     """
 
     def __init__(self, spill_dir):
-        self.spill_dir = Path(spill_dir)
+        self._store = EntryStore(spill_dir)
+        self.spill_dir = self._store.root
         self._lock = threading.Lock()
+        self._whole: set = set()
         self.hits = 0
         self.misses = 0
         self.puts = 0
 
-    def _path(self, key: str) -> Path:
-        """The spill file owning ``key``."""
-        return self.spill_dir / f"{key}.json"
-
     def get(self, key: str) -> Optional[dict]:
         """The spilled payload for ``key``, or None on any kind of miss."""
-        try:
-            raw = self._path(key).read_text(encoding="utf-8")
-            entry = json.loads(raw)
-            if (
-                entry.get("spill_version") != SPILL_FORMAT_VERSION
-                or entry.get("key") != key
-            ):
-                raise ValueError("foreign or stale spill entry")
-            payload = entry["payload"]
-        except (OSError, ValueError, KeyError):
-            with self._lock:
-                self.misses += 1
-            return None
+        entry = self._store.read(key) or {}
+        payload = entry.get("payload")
+        whole = (
+            entry.get("spill_version") == SPILL_FORMAT_VERSION
+            and entry.get("key") == key
+            and isinstance(payload, dict)
+        )
         with self._lock:
+            if not whole:
+                self._whole.discard(key)
+                self.misses += 1
+                return None
+            self._whole.add(key)
             self.hits += 1
         return payload
 
     def put(self, key: str, payload: dict) -> None:
-        """Spill ``payload`` under ``key`` with an atomic replace."""
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        entry = {
+        """Spill ``payload`` under ``key`` unless its file is already whole."""
+        with self._lock:
+            if key in self._whole:
+                return
+        self._store.write(key, {
             "spill_version": SPILL_FORMAT_VERSION,
             "key": key,
             "payload": payload,
-        }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.spill_dir), prefix=f".{key}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        })
         with self._lock:
+            self._whole.add(key)
             self.puts += 1
 
     def __contains__(self, key: str) -> bool:
         """Membership without touching hit/miss counts."""
-        return self._path(key).is_file()
+        return key in self._store
 
     def __len__(self) -> int:
         """Number of spilled entries on disk."""
-        if not self.spill_dir.is_dir():
-            return 0
-        return len([p for p in self.spill_dir.iterdir()
-                    if p.suffix == ".json"])
+        return len(self._store)
 
     def as_dict(self) -> dict:
         """JSON-friendly stats snapshot."""

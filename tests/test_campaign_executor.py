@@ -5,8 +5,9 @@ hand them to one executor, so their guarantees are checked side by side:
 
 * raw campaign outputs are pinned by digest, so a refactor of the
   executor cannot move a single byte of either kind's records;
-* a scenario campaign interrupted mid-sweep resumes from its
-  checkpoints to the same report as an uninterrupted run;
+* a campaign of either kind killed mid-solve and rerun over the same
+  trace-cache directory re-solves only what had not finished and gives
+  the same report as an uninterrupted run;
 * ``fault.*`` trace instants are the same whether mission jobs run
   in-process or in a process pool.
 """
@@ -19,8 +20,8 @@ from dataclasses import replace
 import pytest
 
 import repro.obs as obs
-from repro.engine import EngineOptions
-from repro.faults import FaultCampaignSpec, run_campaign
+from repro.faults import FaultCampaignSpec, build_report, run_campaign
+from repro.faults import save_report as save_resilience_report
 from repro.scenarios import (
     ScenarioSet,
     ScenarioSpec,
@@ -28,6 +29,7 @@ from repro.scenarios import (
     run_scenarios,
     save_report,
 )
+from tests.test_engine import kill_and_rerun
 
 
 def _sha256(data: bytes) -> str:
@@ -59,36 +61,54 @@ def test_scenario_report_matches_pinned_digest(tmp_path):
         "6d0cbcaafc5b75bad9771f017a0406c9f5a58e59ba2b09f9e48dac221f2dddcc")
 
 
-# ---------------------------------------------------- checkpoint and resume
+# ------------------------------------------------ kill and rerun over a cache
 
 
-def test_scenario_campaign_resumes_from_per_scalar_checkpoints(tmp_path):
+def test_killed_scenario_campaign_reruns_to_the_same_report(
+    monkeypatch, tmp_path
+):
     # The kernel scenarios of a Tier-B set, missions dropped: several
-    # scalar groups, each swept by the engine with its own checkpoint.
-    sset = generate_scenarios(tier="b", count=12, seed=42)
+    # scalar groups, all swept over one trace cache.
+    sset = generate_scenarios(tier="b", count=8, seed=42)
     kernels_only = ScenarioSet(
         scenarios=tuple(replace(s, mission=None)
                         for s in sset.kernel_scenarios()),
         tier="b", seed=42, generator="handmade",
     ).validated()
-    groups = {s.scalar for s in kernels_only.scenarios}
-    assert len(groups) > 1
+    assert len({s.scalar for s in kernels_only.scenarios}) > 1
+    reports = []
 
-    uninterrupted = run_scenarios(kernels_only)
-    checkpoint = tmp_path / "campaign.jsonl"
-    options = EngineOptions(checkpoint=checkpoint, resume=True)
-    run_scenarios(kernels_only, options=options)
-    files = sorted(tmp_path.glob("campaign*.jsonl"))
-    assert len(files) == len(groups)
-    # Kill every group's sweep after its first cell (header + one line).
-    for path in files:
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:2]))
+    def campaign(options):
+        reports.append(run_scenarios(kernels_only, options=options))
 
-    resumed = run_scenarios(kernels_only, options=options)
-    # cache_stats may differ: the resumed run solves less.
-    for key in ("kernel_grid", "pareto", "failure_rates"):
-        assert resumed[key] == uninterrupted[key]
+    full, rerun = kill_and_rerun(monkeypatch, campaign, tmp_path, 3)
+    assert len(full) > 3
+    assert rerun == full[3:]
+    uninterrupted, resumed = reports
+    # cache_stats may differ: the rerun hits the solves that finished.
+    for report in reports:
+        report.pop("cache_stats")
+    assert resumed == uninterrupted
+
+
+def test_killed_fault_campaign_reruns_to_a_byte_identical_report(
+    monkeypatch, tmp_path
+):
+    spec = FaultCampaignSpec(
+        fault="brownout", severities=(0.5, 1.0),
+        kernels=("mahony", "p3p", "fly-lqr"), archs=("m33", "m4"), seed=3,
+    )
+    saved = []
+
+    def campaign(options):
+        report = build_report(run_campaign(spec, options=options))
+        path = tmp_path / f"resilience-{len(saved)}.json"
+        saved.append(save_resilience_report(report, path).read_bytes())
+
+    full, rerun = kill_and_rerun(
+        monkeypatch, campaign, tmp_path / "cache", 1)
+    assert rerun == full[1:]
+    assert saved[0] == saved[1]
 
 
 # ------------------------------------------------------------ trace instants

@@ -101,8 +101,8 @@ def test_every_subcommand_documented_in_readme():
 def test_readme_documents_engine_flags():
     """The quickstart table must cover the engine's headline flags."""
     readme_flags = documented_flags(REPO / "README.md")
-    assert {"--jobs", "--cache-dir", "--checkpoint", "--resume",
-            "--trace", "--metrics-out", "--price"} <= readme_flags
+    assert {"--jobs", "--cache-dir", "--trace", "--metrics-out",
+            "--price"} <= readme_flags
 
 
 def test_readme_documents_backends_subcommand_and_riscv_cores():

@@ -6,15 +6,20 @@ Covers the engine's contract with the historical serial driver:
 * zero kernel ``solve()`` calls on a warm-cache ``characterize_suite``
   (verified by a counting test double),
 * content-address invalidation on changed factory kwargs and seed,
-* resume from a partially written checkpoint,
+* kill-resume: a sweep killed mid-solve and rerun over the same
+  trace-cache directory re-solves only what had not finished,
 * structured telemetry and the legacy progress-callback adapter,
 * the `SweepResults` index and `SweepSpec` config-aliasing fixes.
 """
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.engine.executor as executor
 from repro.core import experiment_io, registry
 from repro.core.config import HarnessConfig
 from repro.core.experiment import (
@@ -192,9 +197,11 @@ class TestTraceCache:
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         cache = TraceCache(cache_dir=tmp_path)
         key = solve_key("mahony", {}, "f32", 0, 1, 0)
-        (tmp_path / f"{key}.json").write_text("{not json")
-        assert cache.get(key) is None
-        assert cache.stats.misses == 1
+        # A torn write, and whole JSON that is not an object.
+        for text in ("{not json", "[1, 2]", '"x"'):
+            (tmp_path / f"{key}.json").write_text(text)
+            assert cache.get(key) is None
+        assert cache.stats.misses == 3
 
     def test_no_cache_option_still_dedups_within_sweep(self, monkeypatch):
         """use_cache=False disables persistence, not in-sweep grouping."""
@@ -205,75 +212,62 @@ class TestTraceCache:
         assert counts == {name: reps_per_job for name in KERNELS}
 
 
-class TestCheckpointResume:
-    def test_resume_after_partial_checkpoint(self, tmp_path, monkeypatch):
+class Killed(Exception):
+    """Stands in for a kill arriving in the middle of a solve."""
+
+
+def record_solves(monkeypatch, kill_at=None):
+    """Log each finished solve; raise :class:`Killed` at solve ``kill_at``."""
+    solved = []
+    original = executor.solve_profile
+
+    def solve(kernel, *args, **kwargs):
+        if len(solved) == kill_at:
+            raise Killed(kernel)
+        profile = original(kernel, *args, **kwargs)
+        solved.append(kernel)
+        return profile
+
+    monkeypatch.setattr(executor, "solve_profile", solve)
+    return solved
+
+
+def kill_and_rerun(monkeypatch, run, cache_dir, kill_at):
+    """Solves of an uninterrupted ``run(options)`` and of its rerun.
+
+    The rerun goes over ``cache_dir`` after a first run there was killed
+    at solve ``kill_at``.
+    """
+    full = record_solves(monkeypatch)
+    run(EngineOptions())
+    monkeypatch.undo()
+    options = EngineOptions(cache_dir=cache_dir)
+    record_solves(monkeypatch, kill_at=kill_at)
+    with pytest.raises(Killed):
+        run(options)
+    monkeypatch.undo()
+    rerun = record_solves(monkeypatch)
+    run(options)
+    return full, rerun
+
+
+class TestKillResume:
+    @settings(max_examples=6, deadline=None)
+    @given(kill_at=st.integers(0, len(KERNELS) - 1))
+    def test_rerun_over_the_cache_dir_finishes_a_killed_sweep(self, kill_at):
         spec = small_spec(archs=(M4,))
-        checkpoint = tmp_path / "sweep.checkpoint.jsonl"
-        full = run_sweep_engine(
-            spec, options=EngineOptions(use_cache=False, checkpoint=checkpoint)
-        )
+        results = []
 
-        # Simulate a kill: keep the header and every completed cell except
-        # p3p's, as if the sweep died mid-way.
-        lines = checkpoint.read_text().splitlines()
-        kept = [lines[0]] + [
-            line for line in lines[1:] if json.loads(line)["cell"][0] != "p3p"
-        ]
-        assert len(kept) == 1 + 2 * 2  # header + 2 kernels x 2 cache states
-        checkpoint.write_text("\n".join(kept) + "\n")
+        def sweep(options):
+            results.append(run_sweep_engine(spec, options=options).results)
 
-        counts = install_solve_counter(monkeypatch, KERNELS, OVERRIDES)
-        telemetry = Telemetry()
-        resumed = run_sweep_engine(
-            spec,
-            options=EngineOptions(
-                use_cache=False, checkpoint=checkpoint, resume=True
-            ),
-            telemetry=telemetry,
-        )
-
-        # Only the missing kernel re-solved; completed cells replayed.
-        reps_per_job = FAST.reps + FAST.warmup_reps
-        assert counts == {"mahony": 0, "p3p": reps_per_job, "fly-lqr": 0}
-        summary = telemetry.summary()
-        assert summary["cells_resumed"] == 4
-        assert summary["cells_run"] == 2
-        assert resumed.results == full.results
-
-        # After the resumed run the checkpoint is complete again.
-        done = experiment_io.load_checkpoint(checkpoint, build_plan(spec).fingerprint())
-        assert len(done) == len(spec.kernels) * 2
-
-    def test_resume_tolerates_torn_tail(self, tmp_path):
-        spec = small_spec(archs=(M4,))
-        checkpoint = tmp_path / "ck.jsonl"
-        run_sweep_engine(
-            spec, options=EngineOptions(use_cache=False, checkpoint=checkpoint)
-        )
-        # A kill mid-write leaves a torn final line.
-        torn = checkpoint.read_text()[:-40]
-        checkpoint.write_text(torn)
-        resumed = run_sweep_engine(
-            spec,
-            options=EngineOptions(use_cache=False, checkpoint=checkpoint, resume=True),
-        )
-        serial = run_sweep_serial(spec)
-        assert resumed.results == serial.results
-
-    def test_resume_rejects_mismatched_plan(self, tmp_path):
-        checkpoint = tmp_path / "ck.jsonl"
-        run_sweep_engine(
-            small_spec(archs=(M4,)),
-            options=EngineOptions(use_cache=False, checkpoint=checkpoint),
-        )
-        other = small_spec(archs=(M4, M33))
-        with pytest.raises(ValueError, match="does not match"):
-            run_sweep_engine(
-                other,
-                options=EngineOptions(
-                    use_cache=False, checkpoint=checkpoint, resume=True
-                ),
-            )
+        with tempfile.TemporaryDirectory() as cache_dir, \
+                pytest.MonkeyPatch.context() as mp:
+            full, rerun = kill_and_rerun(mp, sweep, cache_dir, kill_at)
+        assert len(full) == len(KERNELS)
+        assert rerun == full[kill_at:]
+        uninterrupted, resumed = results
+        assert resumed == uninterrupted
 
 
 class TestTelemetry:

@@ -3,10 +3,13 @@
 The contract under test (see ``docs/service.md``):
 
 * the three-tier read path: L1 evictions spill to L2, an L1 miss that
-  hits L2 promotes back into L1, per-tier hits are counted;
+  hits L2 promotes back into L1, per-tier hits are counted; a spill
+  file is written once while whole, and a torn one reads as a miss and
+  is rewritten;
 * shard-count invariance: the same 64-query burst returns byte-identical
-  answers at 1, 2, and 4 shards, with the L2 spill enabled and disabled,
-  and matches the serial reference driver;
+  answers (in the key order the server sends) at 1, 2, and 4 shards,
+  with the L2 spill enabled and disabled, and matches the serial
+  reference driver;
 * admission control: a full shard sheds with a typed
   ``ServiceOverloaded`` (deterministic ``retry_after``) instead of
   blocking, and batch priority sheds before interactive;
@@ -113,11 +116,33 @@ def test_spill_cache_ignores_torn_and_foreign_entries(tmp_path):
         json.dumps({"spill_version": 999, "key": "foreign", "payload": {}}),
         encoding="utf-8",
     )
+    # Whole JSON, but not an object.
+    (tmp_path / "array.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "string.json").write_text('"x"', encoding="utf-8")
     assert spill.get("good") == {"x": 1}
     assert spill.get("torn") is None
     assert spill.get("foreign") is None
+    assert spill.get("array") is None
+    assert spill.get("string") is None
     assert spill.get("absent") is None
-    assert spill.as_dict()["misses"] == 3
+    assert spill.as_dict()["misses"] == 5
+
+
+def test_l2_writes_a_whole_entry_once_and_rewrites_a_torn_one(tmp_path):
+    cache = TieredResultCache(capacity=1, spill_dir=tmp_path)
+    cache.put("k", {"answer": 1})
+    cache.put("other", {"answer": 2})  # evicts k: written
+    cache.put("k", {"answer": 1})      # evicts other: written
+    cache.put("other", {"answer": 2})  # evicts k again: already whole
+    assert cache.spill.puts == 2
+
+    path = tmp_path / "k.json"
+    path.write_bytes(path.read_bytes()[:10])  # torn under the server
+    assert cache.spill.get("k") is None
+    cache.put("k", {"answer": 1})      # evicts other: already whole
+    cache.put("other", {"answer": 2})  # evicts k: the torn file is rewritten
+    assert cache.spill.puts == 3
+    assert cache.spill.get("k") == {"answer": 1}
 
 
 def test_plain_result_cache_get_tiered_is_l1_only():
@@ -184,13 +209,14 @@ def test_burst_is_byte_identical_at_any_shard_count_and_spill_state(
                 # An immediate repeat is a guaranteed L1 hit (the cell
                 # was just promoted/written into the LRU).
                 encore = pool.ask(cells[-1], timeout=300)
-            assert json.dumps(encore, sort_keys=True) == \
-                json.dumps(again[-1], sort_keys=True)
-            rendered[(n_shards, spill)] = json.dumps(first, sort_keys=True)
+            # Unsorted renderings, as the server encodes answers: a
+            # spilled answer must come back in its original key order.
+            assert json.dumps(encore) == json.dumps(again[-1])
+            rendered[(n_shards, spill)] = json.dumps(first)
             # Round 2 (served via L1/L2, never re-solved) is identical.
             for q, payload in zip(cells, again):
-                assert json.dumps(payload, sort_keys=True) == json.dumps(
-                    first[cells.index(q)], sort_keys=True
+                assert json.dumps(payload) == json.dumps(
+                    first[cells.index(q)]
                 )
             # Every answer matches the serial reference driver.
             for q, payload in zip(cells, first[:len(cells)]):
