@@ -52,16 +52,17 @@ def trace_cache():
 
 @pytest.fixture(scope="module")
 def sweep(table4_spec, trace_cache):
-    from repro.api import EngineOptions, Telemetry
+    from repro.api import EngineOptions, sweep_summary
     from repro.api import sweep as run_sweep
+    from repro.obs import MetricsRegistry
 
-    telemetry = Telemetry()
+    registry = MetricsRegistry()
     results = run_sweep(
         table4_spec,
         options=EngineOptions(jobs=2, trace_cache=trace_cache),
-        telemetry=telemetry,
+        telemetry=registry,
     )
-    summary = telemetry.summary()
+    summary = sweep_summary(registry, trace_cache.stats)
     results.engine_summary = summary  # stashed for the telemetry artifact
     return results
 
@@ -112,23 +113,24 @@ def test_table4_engine_warm_repricing(benchmark, artifact_dir, table4_spec,
                                       trace_cache, sweep):
     """Warm-cache regeneration: the whole table re-prices with zero solves.
 
-    Saves the engine telemetry summary as a JSON artifact so BENCH_*
+    Saves the engine sweep summary as a JSON artifact so BENCH_*
     trajectories can track cache hit rate and repricing wall time per PR.
     """
     import json
 
-    from repro.api import EngineOptions, Telemetry
+    from repro.api import EngineOptions, sweep_summary
     from repro.api import sweep as run_sweep
     from repro.core.experiment_io import save_telemetry_json
+    from repro.obs import MetricsRegistry
 
     def warm_run():
-        telemetry = Telemetry()
+        registry = MetricsRegistry()
         results = run_sweep(
             table4_spec,
             options=EngineOptions(trace_cache=trace_cache),
-            telemetry=telemetry,
+            telemetry=registry,
         )
-        return results, telemetry.summary()
+        return results, sweep_summary(registry, trace_cache.stats)
 
     results, summary = benchmark.pedantic(warm_run, rounds=3, iterations=1)
     assert len(results) == 31 * 3 * 2

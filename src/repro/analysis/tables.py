@@ -94,8 +94,9 @@ def table4_dynamic(
 ) -> SweepResults:
     """Table IV: latency/energy/peak power, caches on and off, per core.
 
-    ``jobs``/``cache_dir``/``telemetry`` thread through to the execution
-    engine: the table regenerates from cached traces when available.
+    ``jobs``/``cache_dir``/``telemetry`` (the metrics registry the sweep
+    records into) thread through to the execution engine: the table
+    regenerates from cached traces when available.
     """
     spec = SweepSpec(
         kernels=list(kernels) if kernels is not None else list(TABLE_KERNELS),

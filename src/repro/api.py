@@ -13,7 +13,8 @@ one module:
 * **Verbs** — :func:`characterize`, :func:`sweep`, :func:`run_mission`,
   :func:`run_campaign`, :func:`price_batch` (re-price solved profiles on
   any core/cache grid, vectorized by default), and :func:`query`
-  (one-shot service query).
+  (one-shot service query); :func:`sweep_summary` reports what a sweep
+  recorded into its metrics registry.
 * **Service types** — :class:`ServiceBroker` / :class:`ShardPool`, the
   query dataclasses with their frozen :class:`QueryOptions`, and the
   typed :class:`ServiceError` taxonomy, for callers that hold a broker
@@ -66,7 +67,7 @@ from repro.core.experiment import (
     SweepResults,
     SweepSpec,
 )
-from repro.engine import EngineOptions, Telemetry, TraceCache
+from repro.engine import EngineOptions, TraceCache, sweep_summary
 from repro.faults import (
     CampaignResult,
     build_report,
@@ -115,7 +116,6 @@ __all__ = [
     "MissionResult",
     "ResultKeyError",
     "SweepResults",
-    "Telemetry",
     # verbs
     "characterize",
     "generate_scenarios",
@@ -127,6 +127,7 @@ __all__ = [
     "run_mission",
     "run_scenarios",
     "sweep",
+    "sweep_summary",
     # scenario toolkit
     "ScenarioGenerator",
     "ScenarioSet",
@@ -172,7 +173,7 @@ def characterize(
     *,
     jobs: int = 1,
     cache_dir=None,
-    telemetry: Optional[Telemetry] = None,
+    telemetry=None,
 ) -> SweepResults:
     """Run the paper's workload characterization (Table IV).
 
@@ -193,10 +194,15 @@ def sweep(
     spec: SweepSpec,
     *,
     options: Optional[EngineOptions] = None,
-    telemetry: Optional[Telemetry] = None,
+    telemetry=None,
     progress=None,
 ) -> SweepResults:
-    """Execute one :class:`SweepSpec` through the execution engine."""
+    """Execute one :class:`SweepSpec` through the execution engine.
+
+    ``telemetry`` is the ``repro.obs.MetricsRegistry`` the sweep records
+    into (None: the process-wide one); :func:`sweep_summary` reads the
+    run's report back out of it.
+    """
     from repro.core.experiment import run_sweep
 
     return run_sweep(
@@ -227,12 +233,11 @@ def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
     options: Optional[EngineOptions] = None,
-    telemetry: Optional[Telemetry] = None,
 ) -> CampaignResult:
     """Execute one fault campaign (kernel grid + mission grid)."""
     from repro.faults import run_campaign as _run_campaign
 
-    return _run_campaign(spec, jobs=jobs, options=options, telemetry=telemetry)
+    return _run_campaign(spec, jobs=jobs, options=options)
 
 
 def price_batch(items, *, vectorize: bool = True) -> list:

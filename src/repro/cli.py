@@ -164,6 +164,8 @@ def _engine_options(args):
 
 
 def _cmd_sweep(args) -> int:
+    from dataclasses import replace
+
     from repro.core.experiment import SweepSpec, run_sweep
     from repro.core.experiment_io import (
         save_results_csv,
@@ -171,7 +173,8 @@ def _cmd_sweep(args) -> int:
         save_telemetry_json,
         telemetry_path_for,
     )
-    from repro.engine import Telemetry, verbose_subscriber
+    from repro.engine import sweep_summary
+    from repro.obs import MetricsRegistry, get_metrics
 
     kernels = (args.kernels.split(",") if args.kernels else registry.suite())
     archs = ([get_arch(a) for a in args.archs.split(",")]
@@ -181,11 +184,18 @@ def _cmd_sweep(args) -> int:
         archs=archs,
         config=HarnessConfig(reps=args.reps, warmup_reps=args.warmup),
     )
-    telemetry = Telemetry()
-    if args.verbose:
-        telemetry.subscribe(verbose_subscriber(print))
-    results = run_sweep(spec, options=_engine_options(args), telemetry=telemetry)
-    summary = telemetry.summary()
+    # With observation on (--trace, --metrics-out, `repro trace`) the
+    # sweep records into the process-wide registry, so the metrics dump
+    # and the sidecar read the same counters.
+    registry = get_metrics()
+    if not registry.enabled:
+        registry = MetricsRegistry()
+    options = _engine_options(args)
+    cache = options.make_cache()
+    results = run_sweep(spec, print if args.verbose else None,
+                        options=replace(options, trace_cache=cache),
+                        telemetry=registry)
+    summary = sweep_summary(registry, cache.stats)
     print(f"{len(results)} configurations, {results.datapoints()} datapoints")
     print(
         f"engine    : {summary['solves_executed']} solves, "
@@ -249,7 +259,6 @@ def _cmd_mission(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from repro.engine import Telemetry
     from repro.faults import (
         FaultCampaignSpec,
         build_report,
@@ -287,11 +296,9 @@ def _cmd_faults(args) -> int:
         seed=args.seed,
         reps=args.reps,
     )
-    telemetry = Telemetry()
     campaign = run_campaign(
         spec, jobs=args.jobs,
         options=_engine_options(args) if kernels else None,
-        telemetry=telemetry,
     )
     report = build_report(campaign)
     print(render_report(report))
@@ -395,7 +402,6 @@ def _cmd_query(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     from repro.api import ScenarioSet, generate_scenarios, run_scenarios
-    from repro.engine import Telemetry
     from repro.scenarios import render_report, save_report, tier_a_set
 
     cmd = args.scenarios_command
@@ -428,10 +434,8 @@ def _cmd_scenarios(args) -> int:
     else:
         sset = generate_scenarios(tier=args.tier, count=args.count,
                                   seed=args.seed)
-    telemetry = Telemetry()
     report = run_scenarios(sset, jobs=args.jobs,
-                           options=_engine_options(args),
-                           telemetry=telemetry)
+                           options=_engine_options(args))
     print(render_report(report))
     if args.out:
         path = save_report(report, args.out)
@@ -511,7 +515,8 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--out", default=None, help=".json or .csv path")
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="print one ok/skip line per priced cell")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel solve workers (default: 1 = serial)")
     p.add_argument("--cache-dir", default=None,
@@ -581,9 +586,6 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--capacity", type=int, default=1024,
                    help="in-memory answer-cache entries (LRU beyond)")
-    p.add_argument("--max-pending", type=int, default=256,
-                   help="(legacy) bounded submission queue; superseded "
-                        "by --max-inflight admission control")
     p.add_argument("--shards", type=int, default=1,
                    help="broker shards partitioned by content address")
     p.add_argument("--spill-dir", default=None,

@@ -56,8 +56,8 @@ class ComputeLog:
     steps: int = 0
     deadline_hits: int = 0
     #: Control steps whose compute exceeded the loop period, and the worst
-    #: single-step latency seen — the attribution data overrun-degradation
-    #: telemetry reports.
+    #: single-step latency seen — the overrun attribution a mission result
+    #: carries and the ``mission.overruns`` counter records.
     overruns: int = 0
     worst_latency_s: float = 0.0
 
@@ -182,29 +182,6 @@ def _emit_mission_obs(tracer, metrics, track: str, mission_name: str,
             metrics.inc("faults.injections", len(fault_hook.events))
 
 
-def _emit_mission_telemetry(telemetry, mission_name: str, arch_name: str,
-                            log: ComputeLog, fault_hook) -> None:
-    """Overrun attribution + per-injection events, if a collector listens."""
-    if telemetry is None:
-        return
-    telemetry.emit(
-        "overrun_degraded",
-        kernel=mission_name,
-        arch=arch_name,
-        count=log.overruns,
-        worst_latency_us=round(log.worst_latency_s * 1e6, 3),
-        steps=log.steps,
-    )
-    if fault_hook is not None:
-        for event in fault_hook.events:
-            detail = dict(event)
-            fault_kind = detail.pop("kind", "")
-            telemetry.emit(
-                "fault_injected", kernel=mission_name, arch=arch_name,
-                fault=fault_kind, **detail,
-            )
-
-
 class _StepPricer:
     """Prices one control step's trace on the target core.
 
@@ -267,7 +244,6 @@ class FlappingWingRunner:
         kw: float = 2.9e-7,
         seed: int = 0,
         fault_hook: Optional[MissionFaultHook] = None,
-        telemetry=None,
     ):
         self.pricer = _StepPricer(arch, cache, scalar)
         self.arch = arch
@@ -280,7 +256,6 @@ class FlappingWingRunner:
         self.kw = kw
         self.scalar = scalar
         self.fault_hook = fault_hook
-        self.telemetry = telemetry
 
     def run(self, mission: HoverMission) -> MissionResult:
         """Fly one hover/waypoint mission; returns its :class:`MissionResult`.
@@ -365,8 +340,6 @@ class FlappingWingRunner:
         # steady-state attitude must settle.
         steady_tilt = float(np.mean(tilts[len(tilts) // 2 :])) if tilts else np.inf
         attitude_ok = steady_tilt <= mission.max_steady_tilt_rad
-        _emit_mission_telemetry(self.telemetry, mission.name, self.arch.name,
-                                log, hook)
         completed = score["completed"] and attitude_ok and aborted_by is None
         _emit_mission_obs(tracer, metrics, track, mission.name,
                           self.arch.name, t, completed, log, hook)
@@ -401,7 +374,6 @@ class StriderRunner:
         torque_scale: float = 4.0e-8,
         seed: int = 0,
         fault_hook: Optional[MissionFaultHook] = None,
-        telemetry=None,
     ):
         self.pricer = _StepPricer(arch, cache, scalar)
         self.arch = arch
@@ -411,7 +383,6 @@ class StriderRunner:
         self.torque_scale = torque_scale
         self.seed = seed
         self.fault_hook = fault_hook
-        self.telemetry = telemetry
 
     def run(self, mission: SteeringCourse) -> MissionResult:
         """Steer one heading course; returns its :class:`MissionResult`.
@@ -479,8 +450,6 @@ class StriderRunner:
 
         score = score_trajectory(np.array(errors), mission.abort_error_rad,
                                  mission.success_rms_rad)
-        _emit_mission_telemetry(self.telemetry, mission.name, self.arch.name,
-                                log, hook)
         completed = score["completed"] and aborted_by is None
         _emit_mission_obs(tracer, metrics, track, mission.name,
                           self.arch.name, t, completed, log, hook)
@@ -512,7 +481,6 @@ def make_runner(
     mission_name: str,
     arch_name: str = "m33",
     fault_hook: Optional[MissionFaultHook] = None,
-    telemetry=None,
 ):
     """Build the runner that flies ``mission_name`` on core ``arch_name``.
 
@@ -530,7 +498,7 @@ def make_runner(
     entry = mission_entry(mission_name)
     runner_cls = RUNNER_CLASSES[entry.runner]
     return runner_cls(arch=arch, control_rate_hz=entry.control_rate_hz,
-                      fault_hook=fault_hook, telemetry=telemetry)
+                      fault_hook=fault_hook)
 
 
 def _quat_to_matrix(q) -> np.ndarray:

@@ -216,8 +216,9 @@ def run_sweep(
     re-priced across cells.  Pass ``options``
     (:class:`repro.engine.EngineOptions`) for parallel workers or a
     persistent trace cache (rerun with the same ``cache_dir`` to resume
-    a killed sweep), and ``telemetry``
-    (:class:`repro.engine.Telemetry`) to capture structured events.
+    a killed sweep), and ``telemetry`` (a :class:`repro.obs.MetricsRegistry`)
+    to record the run's counts and timings somewhere other than the
+    process-wide registry.
     """
     from repro.engine import run_sweep_engine
 

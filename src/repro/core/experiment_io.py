@@ -163,7 +163,7 @@ def load_results_csv(path: PathLike) -> List[dict]:
 
 
 def save_telemetry_json(summary: dict, path: PathLike) -> Path:
-    """Persist an engine telemetry summary next to the experiment output.
+    """Persist a sweep summary (``repro.engine.sweep_summary``) as a sidecar.
 
     Benchmark trajectories (``BENCH_*.json``) and CI can diff these across
     PRs to track engine performance: cache hit rate, cells run/skipped,

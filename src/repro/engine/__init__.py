@@ -5,34 +5,41 @@ scalar grid where the expensive axis — actually executing each kernel's
 compute — is independent of core and cache state.  The engine exploits
 that: a planner groups a sweep's cells by solve configuration, a
 content-addressed trace cache persists solved profiles across runs, a
-process-pool executor fans the remaining solves out in parallel, and a
-telemetry layer replaces the bare progress string with structured events
-and a summary report.  The trace cache is also the resume path: each
-solve is written to ``cache_dir`` as it finishes, so a killed sweep
-rerun with the same directory re-solves only what had not finished.  The price stage
-runs through the columnar :mod:`repro.vecprice` batch pricer by default
+process-pool executor fans the remaining solves out in parallel, and
+every count and timing lands in one :mod:`repro.obs` metrics registry
+that :func:`sweep_summary` turns into a report.  The trace cache is also
+the resume path: each solve is written to ``cache_dir`` as it finishes,
+so a killed sweep rerun with the same directory re-solves only what had
+not finished.  The price stage runs through the columnar
+:mod:`repro.vecprice` batch pricer by default
 (``EngineOptions(vectorize=False)`` restores the serial per-cell
 reference; both produce byte-identical results — ``docs/pricing.md``).
 
 Typical use::
 
     from repro.core.experiment import SweepSpec
-    from repro.engine import EngineOptions, Telemetry, run_sweep_engine
+    from repro.engine import EngineOptions, run_sweep_engine, sweep_summary
+    from repro.obs import MetricsRegistry
 
-    telemetry = Telemetry()
+    registry = MetricsRegistry()
     results = run_sweep_engine(
         SweepSpec(kernels=["mahony", "p3p"]),
         options=EngineOptions(jobs=4, cache_dir=".trace-cache"),
-        telemetry=telemetry,
+        telemetry=registry,
     )
-    print(telemetry.summary())
+    print(sweep_summary(registry))
 
 ``repro.core.experiment.run_sweep`` is a thin compatibility wrapper over
 this package; its results are bit-identical to the historical serial
 driver (see ``tests/test_engine.py``).
 """
 
-from repro.engine.executor import EngineOptions, run_plan, run_sweep_engine
+from repro.engine.executor import (
+    EngineOptions,
+    run_plan,
+    run_sweep_engine,
+    sweep_summary,
+)
 from repro.engine.planner import (
     Cell,
     SolveJob,
@@ -42,12 +49,6 @@ from repro.engine.planner import (
     solve_key,
 )
 from repro.engine.profile import KernelProfile, price_profile, solve_profile
-from repro.engine.telemetry import (
-    Telemetry,
-    TelemetryEvent,
-    progress_subscriber,
-    verbose_subscriber,
-)
 from repro.engine.trace_cache import CacheStats, TraceCache
 
 __all__ = [
@@ -57,16 +58,13 @@ __all__ = [
     "KernelProfile",
     "SolveJob",
     "SweepPlan",
-    "Telemetry",
-    "TelemetryEvent",
     "TraceCache",
     "build_cell_plan",
     "build_plan",
     "price_profile",
-    "progress_subscriber",
     "run_plan",
     "run_sweep_engine",
     "solve_key",
     "solve_profile",
-    "verbose_subscriber",
+    "sweep_summary",
 ]

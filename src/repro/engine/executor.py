@@ -20,9 +20,11 @@ Orchestrates a planned sweep end to end:
    :func:`~repro.engine.profile.price_profile` — see ``docs/pricing.md``);
    ``EngineOptions(vectorize=False)`` keeps the serial reference path.
 
-Telemetry events trace every stage; the collector's summary reports cache
-hit rate, cells run/skipped, and the estimated speedup over the serial
-driver.
+Every count and timing lands in one :class:`~repro.obs.MetricsRegistry`:
+the ``engine.*`` counters, the ``engine.jobs`` gauge and the
+``engine.*_wall_s`` histograms.  :func:`sweep_summary` reads a sweep's
+report back out of it: cache hit rate, cells run/skipped, stage wall time
+and the estimated speedup over the serial driver.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from typing import Dict, List, Optional, Union
 
 from repro.engine.planner import Cell, SolveJob, SweepPlan, build_plan
 from repro.engine.profile import KernelProfile, price_profile, skip_result, solve_profile
-from repro.engine.telemetry import Telemetry, progress_subscriber
-from repro.engine.trace_cache import TraceCache
-from repro.obs import get_metrics, get_tracer
+from repro.engine.trace_cache import CacheStats, TraceCache
+from repro.obs import MetricsRegistry, get_metrics, get_tracer
 from repro.vecprice import price_batch
 
 
@@ -92,7 +93,7 @@ def _resolve_profiles(
     pending: List[SolveJob],
     options: EngineOptions,
     cache: TraceCache,
-    telemetry: Telemetry,
+    metrics: MetricsRegistry,
 ) -> Dict[str, KernelProfile]:
     """Fetch or compute the profile for every job that needs one.
 
@@ -100,23 +101,19 @@ def _resolve_profiles(
         pending: Jobs whose profiles are required.
         options: Execution options (worker count, cache wiring).
         cache: The trace cache to consult and fill.
-        telemetry: Event collector for solve/cache lifecycle events.
+        metrics: Registry the cache outcomes and solve timings land in.
 
     Returns:
         Mapping of solve key -> :class:`KernelProfile` for every pending
         job, whether cache-hit or freshly solved.
     """
     tracer = get_tracer()
-    metrics = get_metrics()
     profiles: Dict[str, KernelProfile] = {}
     to_solve: List[SolveJob] = []
     for job in pending:
-        telemetry.cells_by_key[job.key] = len(job.priced_cells)
         hit = cache.get(job.key)
         if hit is not None:
             profiles[job.key] = hit
-            telemetry.cached_solve_s[job.key] = hit.solve_s
-            telemetry.emit("cache_hit", kernel=job.kernel, key=job.key)
             metrics.inc("engine.cache_hits")
             if tracer.enabled:
                 tracer.instant("engine.cache_hit", cat="engine",
@@ -128,14 +125,12 @@ def _resolve_profiles(
     if not to_solve:
         return profiles
 
-    telemetry.stage_start("solve")
+    stage_start = perf_counter()
     if options.jobs > 1 and len(to_solve) > 1:
         max_workers = min(options.jobs, len(to_solve))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             future_of = {}
             for job in to_solve:
-                telemetry.emit("solve_started", kernel=job.kernel, key=job.key)
-                telemetry.job_launched()
                 payload = (job.kernel, job.factory_kwargs, job.reps, job.warmup_reps)
                 future_of[pool.submit(_solve_job_worker, payload)] = job
             outstanding = set(future_of)
@@ -144,15 +139,9 @@ def _resolve_profiles(
                 for future in finished:
                     job = future_of[future]
                     out = future.result()  # worker errors propagate here
-                    telemetry.job_retired()
                     profile = KernelProfile.from_dict(out)
                     profiles[job.key] = profile
                     cache.put(job.key, profile)
-                    telemetry.solve_wall_by_key[job.key] = profile.solve_s
-                    telemetry.emit(
-                        "solve_finished", kernel=job.kernel,
-                        key=job.key, solve_s=round(profile.solve_s, 6),
-                    )
                     if tracer.enabled:
                         # Worker processes trace nothing; reconstruct the
                         # solve span on a per-kernel lane from the
@@ -165,8 +154,6 @@ def _resolve_profiles(
                         )
     else:
         for job in to_solve:
-            telemetry.emit("solve_started", kernel=job.kernel, key=job.key)
-            telemetry.job_launched()
             span = tracer.span("engine.solve", cat="engine",
                                kernel=job.kernel, key=job.key)
             with span:
@@ -175,15 +162,9 @@ def _resolve_profiles(
                     job.kernel, job.factory_kwargs, job.reps, job.warmup_reps
                 )
                 profile.solve_s = perf_counter() - start
-            telemetry.job_retired()
             profiles[job.key] = profile
             cache.put(job.key, profile)
-            telemetry.solve_wall_by_key[job.key] = profile.solve_s
-            telemetry.emit(
-                "solve_finished", kernel=job.kernel,
-                key=job.key, solve_s=round(profile.solve_s, 6),
-            )
-    telemetry.stage_end("solve")
+    metrics.observe("engine.solve_stage_wall_s", perf_counter() - stage_start)
     # Collation-path metrics: derived here, in plan order, so worker
     # scheduling can never reorder the aggregation.
     if metrics.enabled:
@@ -196,41 +177,44 @@ def _resolve_profiles(
 def run_plan(
     plan: SweepPlan,
     options: Optional[EngineOptions] = None,
-    telemetry: Optional[Telemetry] = None,
+    telemetry: Optional[MetricsRegistry] = None,
 ):
-    """Execute a planned sweep; returns ordered ``SweepResults``."""
+    """Execute a planned sweep; returns ordered ``SweepResults``.
+
+    ``telemetry`` is the :class:`~repro.obs.MetricsRegistry` the run's
+    counts and timings land in; None records into the process-wide
+    registry (:func:`~repro.obs.get_metrics`).
+    """
     from repro.core.experiment import SweepResults
 
     options = options or EngineOptions()
-    telemetry = telemetry or Telemetry()
-    telemetry.jobs_requested = options.jobs
+    # An empty registry is falsy (it has a length), so test for None.
+    metrics = telemetry if telemetry is not None else get_metrics()
     cache = options.make_cache()
     tracer = get_tracer()
-    metrics = get_metrics()
     metrics.set_gauge("engine.jobs", options.jobs)
-
-    telemetry.emit(
-        "sweep_started",
-        cells=len(plan.cells), jobs=len(plan.jobs),
-        solves_saved=plan.n_solves_saved, workers=options.jobs,
-    )
 
     # Config invariants (strict memory) fail before any compute is spent.
     config = plan.config
     _strict_memory_prescan(plan, config)
 
     pending = [job for job in plan.jobs if job.needs_solve]
-    profiles = _resolve_profiles(pending, options, cache, telemetry)
+    profiles = _resolve_profiles(pending, options, cache, metrics)
+    # What the serial driver would have spent: it re-solves a kernel once
+    # per priced cell, where the engine solved (or cache-hit) it once.
+    metrics.observe("engine.serial_estimate_wall_s", sum(
+        profiles[job.key].solve_s * len(job.priced_cells) for job in pending
+    ))
 
     # Price every cell in canonical order.
-    telemetry.stage_start("price")
+    stage_start = perf_counter()
     out = SweepResults()
     with tracer.span("engine.price", cat="engine", cells=len(plan.cells)):
         # Vectorized path: price every priced cell in one columnar
         # batch up front (byte-identical to per-cell price_profile),
         # then drain the results through the same bookkeeping loop so
-        # ordering, telemetry and metrics are indistinguishable from
-        # the serial path.
+        # ordering and metrics are indistinguishable from the serial
+        # path.
         batched: Dict[Cell, object] = {}
         if options.vectorize:
             todo = [
@@ -259,11 +243,6 @@ def run_plan(
                     job.footprint, arch, cache_config,
                 )
                 out.add(result)
-                telemetry.emit(
-                    "cell_skipped",
-                    kernel=cell.kernel, arch=cell.arch, cache=cell.cache,
-                    reason="memory",
-                )
                 metrics.inc("engine.cells_skipped")
             else:
                 if options.vectorize:
@@ -278,11 +257,6 @@ def run_plan(
                 else:
                     result = price_profile(profiles[job.key], arch, cache_config)
                 out.add(result)
-                telemetry.emit(
-                    "cell_finished",
-                    kernel=cell.kernel, arch=cell.arch, cache=cell.cache,
-                    fits=result.fits, reps=len(result.runs),
-                )
                 if metrics.enabled:
                     metrics.inc("engine.cells_run")
                     if result.fits and result.runs:
@@ -292,33 +266,81 @@ def run_plan(
                                         result.unit_energy_uj)
                         metrics.inc(f"engine.energy_uj.{cell.arch}",
                                     result.unit_energy_uj)
-    telemetry.stage_end("price")
-
-    telemetry.cache_stats = cache.stats.as_dict()
-    telemetry.emit(
-        "sweep_finished",
-        cells=len(out), solves=len(telemetry.solve_wall_by_key),
-        cache_hits=telemetry.counts.get("cache_hit", 0),
-    )
+    metrics.observe("engine.price_stage_wall_s", perf_counter() - stage_start)
     return out
 
 
 def run_sweep_engine(
     spec,
     options: Optional[EngineOptions] = None,
-    telemetry: Optional[Telemetry] = None,
+    telemetry: Optional[MetricsRegistry] = None,
     progress=None,
 ):
     """Plan and execute a :class:`~repro.core.experiment.SweepSpec`.
 
-    ``progress`` accepts the legacy string callback; it is adapted into a
-    telemetry subscriber producing the exact historical lines.
+    ``telemetry`` is the :class:`~repro.obs.MetricsRegistry` the sweep
+    records into (None: the process-wide one).  ``progress`` is called
+    once per cell, in plan order, after pricing, with the line the serial
+    driver prints: ``"<kernel> on <arch>/<cache>: ok|skip"``.
     """
-    telemetry = telemetry or Telemetry()
-    if progress is not None:
-        telemetry.subscribe(progress_subscriber(progress))
+    metrics = telemetry if telemetry is not None else get_metrics()
     tracer = get_tracer()
+    start = perf_counter()
     with tracer.span("engine.sweep", cat="engine", kernels=len(spec.kernels)):
         with tracer.span("engine.plan", cat="engine"):
             plan = build_plan(spec)
-        return run_plan(plan, options=options, telemetry=telemetry)
+        results = run_plan(plan, options=options, telemetry=metrics)
+    metrics.observe("engine.sweep_wall_s", perf_counter() - start)
+    if progress is not None:
+        for cell, result in zip(plan.cells, results.results):
+            status = "ok" if result.fits else "skip"
+            progress(f"{cell.kernel} on {cell.arch}/{cell.cache}: {status}")
+    return results
+
+
+def _wall_s(registry: MetricsRegistry, name: str) -> float:
+    """Summed seconds of one ``*_wall_s`` histogram (0.0 if never observed)."""
+    hist = registry.histogram(name)
+    return hist.sum if hist is not None else 0.0
+
+
+def sweep_summary(
+    registry: MetricsRegistry,
+    cache_stats: Optional[CacheStats] = None,
+) -> dict:
+    """One flat dict summarizing the sweeps a registry recorded.
+
+    Reads the ``engine.*`` counters, the ``engine.jobs`` gauge and the
+    ``engine.*_wall_s`` histograms: cells run and skipped, solves, cache
+    hit rate, stage wall time, and the estimated speedup over the serial
+    driver.  ``cache_stats`` is the run's trace-cache accounting, copied
+    under ``"cache"``.  This is the ``repro sweep`` report and its
+    ``.telemetry.json`` sidecar.
+    """
+    cells_run = int(registry.counter("engine.cells_run"))
+    cells_skipped = int(registry.counter("engine.cells_skipped"))
+    solves = int(registry.counter("engine.solves"))
+    cache_hits = int(registry.counter("engine.cache_hits"))
+    lookups = solves + cache_hits
+    wall = _wall_s(registry, "engine.sweep_wall_s")
+    serial_est = _wall_s(registry, "engine.serial_estimate_wall_s")
+    # A stage that never ran (no solves on a warm cache) has no entry.
+    stages = {}
+    for stage in ("solve", "price"):
+        hist = registry.histogram(f"engine.{stage}_stage_wall_s")
+        if hist is not None:
+            stages[stage] = hist.sum
+    return {
+        "cells_total": cells_run + cells_skipped,
+        "cells_run": cells_run,
+        "cells_skipped": cells_skipped,
+        "solves_executed": solves,
+        "cache_hits": cache_hits,
+        "cache_hit_rate": cache_hits / lookups if lookups else 0.0,
+        "cache": cache_stats.as_dict() if cache_stats is not None else {},
+        "jobs_requested": registry.gauge("engine.jobs") or 1,
+        "wall_s": wall,
+        "stage_wall_s": stages,
+        "serial_estimate_s": serial_est,
+        "est_speedup_vs_serial": serial_est / wall if wall > 0 else 0.0,
+    }

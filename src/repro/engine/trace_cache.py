@@ -81,7 +81,7 @@ class EntryStore:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting, surfaced through telemetry summaries."""
+    """Hit/miss accounting, surfaced through :func:`~repro.engine.sweep_summary`."""
 
     memory_hits: int = 0
     disk_hits: int = 0
@@ -104,7 +104,7 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict:
-        """JSON-safe snapshot for telemetry summaries."""
+        """JSON-safe snapshot for sweep summaries."""
         return {
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,

@@ -15,7 +15,7 @@ fanned out across a process pool when ``jobs > 1``.
 
 Determinism contract: job seeds derive from ``SeedSequence([base_seed,
 index])``; workers return plain data; results collate in job order;
-metrics, telemetry and pooled-run trace events derive at collation.  The
+metrics and pooled-run trace events derive at collation.  The
 same spec therefore produces byte-identical records for any worker count.
 """
 
@@ -59,7 +59,7 @@ class MissionJob:
 
     #: The leading columns of the job's record, in record order.
     head: dict
-    #: The name its telemetry events and pooled ``mission.run`` span carry.
+    #: The name its pooled ``mission.run`` span carries.
     label: str
     #: Trace lane for its sim-time spans and fault instants.
     track: str
@@ -99,7 +99,6 @@ def run_mission_jobs(
     jobs: Sequence[MissionJob],
     names: Tuple[str, str, str, str, str],
     workers: int = 1,
-    telemetry=None,
 ) -> List[Tuple[MissionResult, List[dict]]]:
     """Fly every job; ``(result, fault events)`` per job, in job order.
 
@@ -108,18 +107,14 @@ def run_mission_jobs(
     runner's per-step spans and fault instants in-process, a synthesized
     ``mission.run`` span plus the same fault instants when pooled
     (workers trace nothing).  The runners' own metrics are suppressed
-    in-process; the telemetry events and the ``names`` metrics (jobs,
-    completed, failed, fault injections, energy histogram) are derived
-    here at collation, so all of it is identical for any width.
+    in-process; the ``names`` metrics (jobs, completed, failed, fault
+    injections, energy histogram) are derived here at collation, so all
+    of it is identical for any width.
     """
     if not jobs:
         return []
     tracer = get_tracer()
     metrics = get_metrics()
-    if telemetry is not None:
-        for job in jobs:
-            telemetry.emit("mission_started", kernel=job.label, arch=job.arch,
-                           severity=job.severity)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             # map() preserves input order: collation is worker-count-proof.
@@ -152,24 +147,6 @@ def run_mission_jobs(
             metrics.inc(completed if result.completed else failed)
             metrics.inc(injections, int(result.fault_events))
             metrics.observe(energy_uj, float(result.compute_energy_j) * 1e6)
-    if telemetry is not None:
-        for job, (result, events) in zip(jobs, outcomes):
-            telemetry.emit(
-                "overrun_degraded", kernel=job.label, arch=job.arch,
-                count=int(result.overruns),
-                worst_latency_us=round(float(result.worst_latency_s) * 1e6, 3),
-                steps=0,
-            )
-            for event in events:
-                detail = {k: v for k, v in event.items() if k != "kind"}
-                telemetry.emit("fault_injected", kernel=job.label,
-                               arch=job.arch, fault=event["kind"],
-                               severity=job.severity, **detail)
-            telemetry.emit(
-                "mission_finished", kernel=job.label, arch=job.arch,
-                severity=job.severity, completed=bool(result.completed),
-                aborted_by=result.aborted_by,
-            )
     return outcomes
 
 
@@ -187,8 +164,7 @@ def derated_arch(arch: ArchSpec, fault: Optional[str],
     return arch
 
 
-def run_kernel_sweeps(groups, config, layer: str, options=None,
-                      telemetry=None, **span_args):
+def run_kernel_sweeps(groups, config, layer: str, options=None, **span_args):
     """Price kernel groups through the engine over one shared trace cache.
 
     ``groups`` maps a scalar type (None: each kernel's own) to the
@@ -217,8 +193,7 @@ def run_kernel_sweeps(groups, config, layer: str, options=None,
                          overrides=overrides)
         with tracer.span(f"{layer}.kernel_grid", cat=layer, **tags,
                          kernels=len(spec.kernels), archs=len(spec.archs)):
-            results[scalar] = run_sweep_engine(spec, options=options,
-                                               telemetry=telemetry)
+            results[scalar] = run_sweep_engine(spec, options=options)
     return results, cache
 
 
@@ -306,7 +281,6 @@ def run_kernel_grid(
     spec: FaultCampaignSpec,
     fault: FaultModel,
     options=None,
-    telemetry=None,
 ) -> List[dict]:
     """Price the kernels at every derated operating point via the engine."""
     if not spec.kernels:
@@ -328,7 +302,7 @@ def run_kernel_grid(
     results, _ = run_kernel_sweeps(
         {None: (spec.kernels, derated.values())},
         HarnessConfig(reps=spec.reps, warmup_reps=spec.warmup), "faults",
-        options=options, telemetry=telemetry, fault=fault.name,
+        options=options, fault=fault.name,
     )
     budget_fn = getattr(fault, "peak_budget_w", None)
     grid: List[dict] = []
@@ -356,7 +330,6 @@ def run_campaign(
     spec: FaultCampaignSpec,
     jobs: int = 1,
     options=None,
-    telemetry=None,
 ) -> CampaignResult:
     """Execute one full fault campaign (kernel grid + mission grid).
 
@@ -369,14 +342,6 @@ def run_campaign(
     """
     fault = get_fault(spec.fault)
     severities = spec.severity_grid()
-    if telemetry is not None:
-        telemetry.emit(
-            "campaign_started",
-            fault=fault.name,
-            severities=list(severities),
-            kernels=len(spec.kernels),
-            missions=len(spec.missions),
-        )
     if options is None and jobs > 1:
         from repro.engine import EngineOptions
 
@@ -384,28 +349,18 @@ def run_campaign(
     tracer = get_tracer()
     with tracer.span("faults.campaign", cat="faults", fault=fault.name,
                      severities=len(severities)):
-        kernel_grid = run_kernel_grid(spec, fault, options=options,
-                                      telemetry=telemetry)
+        kernel_grid = run_kernel_grid(spec, fault, options=options)
         cells = plan_mission_cells(spec)
-        outcomes = run_mission_jobs(cells, FAULT_METRICS, workers=jobs,
-                                    telemetry=telemetry)
+        outcomes = run_mission_jobs(cells, FAULT_METRICS, workers=jobs)
         mission_grid = [
             {**cell.head, **mission_record(result, RECORD_COLUMNS),
              "events": events}
             for cell, (result, events) in zip(cells, outcomes)
         ]
-    out = CampaignResult(
+    return CampaignResult(
         fault=fault.name,
         seed=spec.seed,
         severities=severities,
         kernel_grid=kernel_grid,
         mission_grid=mission_grid,
     )
-    if telemetry is not None:
-        telemetry.emit(
-            "campaign_finished",
-            fault=fault.name,
-            kernel_cells=len(kernel_grid),
-            mission_cells=len(mission_grid),
-        )
-    return out

@@ -33,15 +33,15 @@ class WallClockRule(Rule):
     """Ban wall-clock reads outside the sanctioned timing seams.
 
     Sim-time determinism means results never depend on host time; only
-    the tracer, the telemetry clock, and the executor's wall-time
-    profiling are allowed to look at a real clock.
+    the tracer, the executor's wall-time profiling and the service
+    broker's queue timing are allowed to look at a real clock.
     """
 
     id = "no-wall-clock"
     summary = "wall-clock reads only inside the allowlisted timing seams"
     rationale = (
         "results must be a function of the spec and the seed, never of "
-        "host time; timing belongs to obs/telemetry"
+        "host time; timing belongs to repro.obs"
     )
 
     #: Attribute paths whose *use* (call or reference) is banned.
@@ -56,7 +56,6 @@ class WallClockRule(Rule):
     #: Modules that own a real clock on purpose.
     ALLOWED_MODULES = frozenset({
         "repro/obs/tracer.py",
-        "repro/engine/telemetry.py",
         "repro/engine/executor.py",
         "repro/service/broker.py",
     })

@@ -41,13 +41,12 @@ from repro.lint.rules import (
 
 #: Modules that *are* the sanctioned shared-state seams: the metrics
 #: registry and tracer (process-safe by design, jobs-invariant
-#: collation), the content-addressed trace cache, and engine telemetry.
+#: collation) and the content-addressed trace cache.
 SANCTIONED_STATE_MODULES = frozenset({
     "repro/obs/metrics.py",
     "repro/obs/tracer.py",
     "repro/obs/export.py",
     "repro/engine/trace_cache.py",
-    "repro/engine/telemetry.py",
 })
 
 

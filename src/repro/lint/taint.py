@@ -23,8 +23,8 @@ summary per function) which keeps the fixpoint linear and the findings
 deterministic; chains are capped and sorted so repeated runs emit
 byte-identical messages.
 
-Modules on the sanctioned wall-clock seam list (the tracer, engine
-telemetry, the executor's host-side timing, the service broker) do not
+Modules on the sanctioned wall-clock seam list (the tracer, the
+executor's host-side timing, the service broker) do not
 *seed* taint: their clock reads are measurement, documented as never
 reaching priced values — the basic rule already polices direct use.
 """
@@ -46,7 +46,6 @@ from repro.lint.rules import (
 #: they never seed taint (mirrors ``WallClockRule.ALLOWED_MODULES``).
 SANCTIONED_SOURCE_MODULES = frozenset({
     "repro/obs/tracer.py",
-    "repro/engine/telemetry.py",
     "repro/engine/executor.py",
     "repro/service/broker.py",
 })

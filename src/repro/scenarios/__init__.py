@@ -54,7 +54,6 @@ def run_scenarios(
     sset: ScenarioSet,
     jobs: int = 1,
     options=None,
-    telemetry=None,
     *,
     vectorize: bool = True,
 ) -> dict:
@@ -68,8 +67,7 @@ def run_scenarios(
     reference).
     """
     result = run_scenario_set(
-        sset, jobs=jobs, options=options, telemetry=telemetry,
-        vectorize=vectorize,
+        sset, jobs=jobs, options=options, vectorize=vectorize,
     )
     return build_report(result)
 

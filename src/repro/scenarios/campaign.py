@@ -102,7 +102,6 @@ def plan_mission_jobs(sset: ScenarioSet) -> List[MissionJob]:
 def _kernel_grid(
     sset: ScenarioSet,
     options=None,
-    telemetry=None,
 ) -> Tuple[List[dict], Dict[str, int]]:
     """Price every kernel scenario via the engine; one sweep per scalar.
 
@@ -124,7 +123,7 @@ def _kernel_grid(
         kernels = sorted({k for s in members for k in s.kernels})
         groups[scalar] = (kernels, [archs[a] for a in sorted(archs)])
     results, cache = run_kernel_sweeps(groups, HarnessConfig(), "scenarios",
-                                       options=options, telemetry=telemetry)
+                                       options=options)
 
     grid: List[dict] = []
     for scenario in scenarios:
@@ -158,7 +157,6 @@ def run_scenario_set(
     sset: ScenarioSet,
     jobs: int = 1,
     options=None,
-    telemetry=None,
     *,
     vectorize: bool = True,
 ) -> ScenarioCampaignResult:
@@ -186,12 +184,10 @@ def run_scenario_set(
         with tracer.span("scenarios.campaign", cat="scenarios",
                          tier=sset.tier, scenarios=len(sset),
                          address=sset.address):
-            kernel_grid, cache_stats = _kernel_grid(
-                sset, options=options, telemetry=telemetry
-            )
+            kernel_grid, cache_stats = _kernel_grid(sset, options=options)
             planned = plan_mission_jobs(sset)
             outcomes = run_mission_jobs(planned, SCENARIO_METRICS,
-                                        workers=jobs, telemetry=telemetry)
+                                        workers=jobs)
             mission_grid = [
                 {**job.head, **mission_record(result, SCENARIO_COLUMNS)}
                 for job, (result, _) in zip(planned, outcomes)

@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Optional, Tuple, Union
 
-from repro.service.aio import AsyncServiceServer, shape_error, shape_ok
+from repro.service.aio import AsyncServiceServer
 from repro.service.errors import (
     ServiceError,
     ServiceOverloaded,
@@ -42,7 +42,6 @@ from repro.service.queries import (
     Query,
     QueryOptions,
     WIRE_VERSION,
-    parse_request,
     request_of,
 )
 
@@ -78,30 +77,6 @@ class ServiceServer:
     def address(self) -> Tuple[str, int]:
         """The actually bound (host, port) pair."""
         return self._aio.address
-
-    def answer_line(self, line: str) -> dict:
-        """Answer one request line synchronously (no event loop needed).
-
-        The library-embedding seam: same parsing, versioning, and error
-        shaping as the served path, but blocking — callers that hold a
-        broker directly can answer wire lines without starting a server.
-        """
-        version = 1
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            raw_version = request.get("v", 1)
-            version = raw_version if isinstance(raw_version, int) else 1
-            op = request.get("op")
-            if op == "ping":
-                return shape_ok(version, {"pong": True})
-            if op == "stats":
-                return shape_ok(version, {"stats": self.broker.stats()})
-            payload = self.broker.ask(parse_request(request))
-            return shape_ok(version, payload)
-        except Exception as exc:
-            return shape_error(version, exc)
 
     def start(self) -> Tuple[str, int]:
         """Serve in a background thread; returns the bound address."""

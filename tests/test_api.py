@@ -49,7 +49,6 @@ PUBLIC_API = [
     "StriderRunner",
     "SweepResults",
     "SweepSpec",
-    "Telemetry",
     "TraceCache",
     "WaypointMission",
     "build_report",
@@ -69,6 +68,7 @@ PUBLIC_API = [
     "run_scenarios",
     "save_report",
     "sweep",
+    "sweep_summary",
 ]
 
 CONFIG = HarnessConfig(reps=1, warmup_reps=0)

@@ -8,7 +8,7 @@ Covers the engine's contract with the historical serial driver:
 * content-address invalidation on changed factory kwargs and seed,
 * kill-resume: a sweep killed mid-solve and rerun over the same
   trace-cache directory re-solves only what had not finished,
-* structured telemetry and the legacy progress-callback adapter,
+* the metrics-registry sweep summary and the legacy progress lines,
 * the `SweepResults` index and `SweepSpec` config-aliasing fixes.
 """
 
@@ -32,14 +32,15 @@ from repro.core.experiment import (
 from repro.core.results import BenchmarkResult
 from repro.engine import (
     EngineOptions,
-    Telemetry,
     TraceCache,
     build_plan,
     run_sweep_engine,
     solve_key,
+    sweep_summary,
 )
-from repro.mcu.arch import CHARACTERIZATION_ARCHS, M4, M33
+from repro.mcu.arch import CHARACTERIZATION_ARCHS, M0PLUS, M4, M33
 from repro.mcu.memory import MemoryFitError
+from repro.obs import MetricsRegistry
 
 KERNELS = ["mahony", "p3p", "fly-lqr"]
 OVERRIDES = {"mahony": {"n_samples": 40}, "fly-lqr": {"n_steps": 40}}
@@ -89,15 +90,15 @@ class TestEquivalence:
         serial = run_sweep_serial(spec)
         run_sweep_engine(spec, options=EngineOptions(cache_dir=tmp_path / "cache"))
 
-        telemetry = Telemetry()
+        registry = MetricsRegistry()
         warm = run_sweep_engine(
             spec,
             options=EngineOptions(jobs=2, cache_dir=tmp_path / "cache"),
-            telemetry=telemetry,
+            telemetry=registry,
         )
         for expect, got in zip(serial.results, warm.results):
             assert expect == got, (got.kernel, got.arch, got.cache)
-        summary = telemetry.summary()
+        summary = sweep_summary(registry)
         assert summary["solves_executed"] == 0
         assert summary["cache_hit_rate"] == 1.0
 
@@ -271,34 +272,37 @@ class TestKillResume:
 
 
 class TestTelemetry:
-    def test_event_stream_and_summary(self):
-        telemetry = Telemetry()
-        run_sweep_engine(small_spec(archs=(M4,)), telemetry=telemetry)
-        kinds = [e.kind for e in telemetry.events]
-        assert kinds[0] == "sweep_started"
-        assert kinds[-1] == "sweep_finished"
-        assert kinds.count("solve_started") == kinds.count("solve_finished") == 3
-        assert kinds.count("cell_finished") == len(KERNELS) * 2
-        summary = telemetry.summary()
+    def test_registry_summary(self):
+        registry = MetricsRegistry()
+        run_sweep_engine(small_spec(archs=(M4,)), telemetry=registry)
+        summary = sweep_summary(registry)
         assert summary["cells_total"] == len(KERNELS) * 2
         assert summary["solves_executed"] == 3
         assert summary["wall_s"] > 0
         assert summary["serial_estimate_s"] > 0
         assert set(summary["stage_wall_s"]) == {"solve", "price"}
 
-    def test_legacy_progress_lines_preserved(self):
-        spec = small_spec(archs=(M4,))
+    @pytest.mark.parametrize("kernels,archs,options", [
+        (KERNELS, (M4,), None),
+        (KERNELS, (M4,), EngineOptions(jobs=2)),
+        (KERNELS, (M4,), EngineOptions(vectorize=False)),
+        (["fastbrief"], (M0PLUS,), None),  # memory misfit: two skip lines
+    ], ids=["default", "jobs2", "serial-price", "misfit"])
+    def test_legacy_progress_lines_preserved(self, kernels, archs, options):
+        spec = SweepSpec(kernels=list(kernels), archs=list(archs),
+                         config=FAST, overrides=dict(OVERRIDES))
         legacy, engine_lines = [], []
         run_sweep_serial(spec, progress=legacy.append)
-        run_sweep(spec, progress=engine_lines.append)
+        run_sweep(spec, progress=engine_lines.append, options=options)
         assert legacy == engine_lines
-        assert len(legacy) == len(KERNELS) * 2
+        assert len(legacy) == len(kernels) * 2
 
     def test_telemetry_json_roundtrip(self, tmp_path):
-        telemetry = Telemetry()
-        run_sweep_engine(small_spec(archs=(M4,)), telemetry=telemetry)
+        registry = MetricsRegistry()
+        run_sweep_engine(small_spec(archs=(M4,)), telemetry=registry)
         path = experiment_io.save_telemetry_json(
-            telemetry.summary(), experiment_io.telemetry_path_for(tmp_path / "r.json")
+            sweep_summary(registry),
+            experiment_io.telemetry_path_for(tmp_path / "r.json"),
         )
         assert path.name == "r.telemetry.json"
         loaded = json.loads(path.read_text())

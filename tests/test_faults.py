@@ -15,11 +15,12 @@ import json
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.closedloop import FlappingWingRunner, HoverMission
 from repro.core.config import HarnessConfig
 from repro.core.experiment import SweepSpec, run_sweep_serial
 from repro.datasets import imu
-from repro.engine import Telemetry, run_sweep_engine
+from repro.engine import run_sweep_engine
 from repro.faults import (
     FaultCampaignSpec,
     build_report,
@@ -244,16 +245,13 @@ class TestMissionFaults:
         assert storm.fault_events > 0
 
     def test_overrun_degraded_telemetry_emitted(self):
-        telemetry = Telemetry()
-        result = FlappingWingRunner(
-            arch=get_arch("m0plus"), telemetry=telemetry
-        ).run(HoverMission())
-        events = [e for e in telemetry.events if e.kind == "overrun_degraded"]
-        assert len(events) == 1
-        assert events[0].detail["count"] == result.overruns > 0
-        assert events[0].detail["worst_latency_us"] == pytest.approx(
-            result.worst_latency_s * 1e6, abs=1e-2
-        )
+        _, metrics = obs.observe()
+        try:
+            result = FlappingWingRunner(arch=get_arch("m0plus")).run(
+                HoverMission())
+        finally:
+            obs.unobserve()
+        assert metrics.counter("mission.overruns") == result.overruns > 0
 
 
 class TestCampaignDeterminism:

@@ -96,7 +96,7 @@ def test_wall_clock_flagged_outside_seams(tmp_path):
 
 def test_wall_clock_allowed_in_timing_seams(tmp_path):
     findings = lint_tree(tmp_path, {
-        "engine/telemetry.py": """
+        "engine/executor.py": """
             import time
             CLOCK = time.perf_counter
         """,

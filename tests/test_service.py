@@ -22,7 +22,6 @@ import repro.service.broker as broker_mod
 from repro.core.config import HarnessConfig
 from repro.core.experiment import SweepSpec, run_sweep_serial
 from repro.core.experiment_io import result_to_dict
-from repro.engine import Telemetry
 from repro.mcu.arch import get_arch
 from repro.mcu.cache import CACHE_OFF, CACHE_ON
 from repro.service import (
@@ -71,9 +70,9 @@ def counting_run_plan(monkeypatch):
     original = broker_mod.run_plan
 
     def spy(plan, options=None, telemetry=None):
-        telemetry = telemetry or Telemetry()
-        results = original(plan, options=options, telemetry=telemetry)
-        solves.append(telemetry.summary()["solves_executed"])
+        registry = obs.MetricsRegistry()
+        results = original(plan, options=options, telemetry=registry)
+        solves.append(registry.counter("engine.solves"))
         return results
 
     monkeypatch.setattr(broker_mod, "run_plan", spy)
