@@ -34,15 +34,12 @@ one module:
 
 ``__all__`` below is the *pinned* public surface: ``tests/test_api.py``
 snapshots it, so adding or removing a name is an explicit, reviewed act.
-Deprecated aliases (``FaultCampaignSpec``, ``characterize_suite``) live
-outside ``__all__`` behind a module ``__getattr__`` that warns once per
-process and forwards.  Examples, benchmarks, and analysis code import
-from here — enforced by the ``facade-only-imports`` lint rule.
+Examples, benchmarks, and analysis code import from here — enforced by
+the ``facade-only-imports`` lint rule.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace as _dc_replace
 from typing import List, Optional, Union
 
@@ -318,7 +315,6 @@ def get_arch(name: str):
 def query(
     request: Union[dict, CharacterizeQuery, MissionQuery, CampaignQuery],
     broker: Optional[Union[ServiceBroker, ShardPool]] = None,
-    timeout: Optional[float] = None,
     *,
     options: Optional[QueryOptions] = None,
 ) -> dict:
@@ -333,52 +329,12 @@ def query(
     actually reuse the cache.
 
     ``options`` attaches a :class:`QueryOptions` (priority, timeout,
-    cache policy), replacing the old bare ``timeout=`` keyword — which
-    still works, with a one-time DeprecationWarning.
+    cache policy).
     """
-    if timeout is not None and "query.timeout" not in _warned:
-        _warned.add("query.timeout")
-        warnings.warn(
-            "repro.api.query(timeout=...) is deprecated; pass "
-            "options=QueryOptions(timeout=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     q = parse_request(request) if isinstance(request, dict) else request
     if options is not None:
         q = _dc_replace(q, options=options.validated())
     if broker is not None:
-        return broker.ask(q, timeout=timeout)
+        return broker.ask(q)
     with ServiceBroker() as transient:
-        return transient.ask(q, timeout=timeout)
-
-
-#: Deprecated name -> (replacement public name, loader).  Access warns
-#: once per process and forwards; the names stay importable so existing
-#: code keeps working while the lint baseline drains.
-_DEPRECATED = {
-    "FaultCampaignSpec": "CampaignSpec",
-    "characterize_suite": "characterize",
-}
-
-_warned: set = set()
-
-
-def __getattr__(name: str):
-    """Forward deprecated aliases with a one-time DeprecationWarning."""
-    replacement = _DEPRECATED.get(name)
-    if replacement is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in _warned:
-        _warned.add(name)
-        warnings.warn(
-            f"repro.api.{name} is deprecated; use repro.api.{replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return globals()[replacement]
-
-
-def __dir__() -> List[str]:
-    """Public surface plus the (deprecated) forwarding aliases."""
-    return sorted(set(__all__) | set(_DEPRECATED))
+        return transient.ask(q)

@@ -19,7 +19,7 @@ Mirrors the artifact's make-target workflow with subcommands::
     python -m repro scenarios run --tier b --count 1000 --seed 42 \
         --jobs 4 --out campaign.json           # campaign-scale study
     python -m repro lint                       # layering + determinism rules
-    python -m repro lint --format json         # machine report (CI gate)
+    python -m repro lint --format json         # canonical machine report
     python -m repro serve --port 7453          # benchmark-query service
     python -m repro query characterize --kernel mahony --arch m33
 
@@ -462,21 +462,25 @@ def _cmd_lint(args) -> int:
     rules = args.rules.split(",") if args.rules else None
     baseline_path = (Path(args.baseline) if args.baseline
                      else default_baseline_path(root))
-    cache_path = Path(args.cache) if args.cache else None
     if args.update_baseline:
         result = run_lint(root=root, rules=rules, use_baseline=False,
-                          analyze=args.analyze, jobs=args.jobs,
-                          cache_path=cache_path)
-        path = Baseline.from_findings(result.all_findings).save(baseline_path)
+                          analyze=args.analyze)
+        try:
+            _, others = Baseline.load(baseline_path).split(result.rules)
+        except ValueError:  # an unsupported old version is regenerated
+            others = Baseline()
+        fresh = Baseline.from_findings(result.all_findings)
+        fresh.counts.update(others.counts)
+        path = fresh.save(baseline_path)
         print(f"baseline  : {path} "
               f"({len(result.all_findings)} finding(s) grandfathered)")
         return 0
     if args.prune_baseline:
         result = run_lint(root=root, rules=rules, use_baseline=False,
-                          analyze=args.analyze, jobs=args.jobs,
-                          cache_path=cache_path)
-        baseline = Baseline.load(baseline_path)
-        pruned, dropped = baseline.prune(result.all_findings)
+                          analyze=args.analyze)
+        judged, others = Baseline.load(baseline_path).split(result.rules)
+        pruned, dropped = judged.prune(result.all_findings)
+        pruned.counts.update(others.counts)
         path = pruned.save(baseline_path)
         kept = sum(pruned.counts.values())
         print(f"baseline  : {path} "
@@ -485,8 +489,7 @@ def _cmd_lint(args) -> int:
               f"{kept} finding(s) kept)")
         return 0
     result = run_lint(root=root, rules=rules, baseline_path=baseline_path,
-                      analyze=args.analyze, jobs=args.jobs,
-                      cache_path=cache_path)
+                      analyze=args.analyze)
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":
@@ -685,15 +688,13 @@ def _add_lint_args(p: argparse.ArgumentParser) -> None:
     """The static-analysis flag set (``repro lint``)."""
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text",
-                   help="report format (json is canonical for CI; "
-                        "sarif uploads to code-scanning dashboards)")
+                   help="report format (json is the canonical machine "
+                        "report; sarif uploads to code-scanning "
+                        "dashboards)")
     p.add_argument("--analyze", choices=("basic", "deep"), default="basic",
                    help="basic = per-module + import-graph rules; "
                         "deep adds call-graph taint, shared-state race "
                         "and API-contract analysis")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel scan workers (findings are "
-                        "path-sorted, so output is identical for any N)")
     p.add_argument("--rules", default=None,
                    help="comma-separated rule ids to run "
                         "(default: all; see --list)")
@@ -701,15 +702,11 @@ def _add_lint_args(p: argparse.ArgumentParser) -> None:
                    help="baseline file for grandfathered findings "
                         "(default: lint-baseline.json at the repo root)")
     p.add_argument("--update-baseline", action="store_true",
-                   help="grandfather the current findings into the "
-                        "baseline and exit")
+                   help="grandfather the current findings of the rules "
+                        "that ran into the baseline and exit")
     p.add_argument("--prune-baseline", action="store_true",
-                   help="drop baseline entries no longer matched by "
-                        "any live finding and exit")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="incremental analysis cache file; only changed "
-                        "modules (plus their reverse-import cone) are "
-                        "re-analyzed")
+                   help="drop baseline entries of the rules that ran "
+                        "that no live finding matches, and exit")
     p.add_argument("--root", default=None, metavar="PATH",
                    help="package directory to scan "
                         "(default: the installed repro package)")

@@ -11,8 +11,7 @@ Entry points::
 
     python -m repro lint                      # CLI gate (text report)
     python -m repro lint --analyze deep       # + taint/race/contract engines
-    python -m repro lint --jobs 4             # parallel per-module phase
-    python -m repro lint --format json        # machine report for CI
+    python -m repro lint --format json        # canonical machine report
     python -m repro lint --format sarif       # GitHub code-scanning log
     python -m repro lint --list               # rule catalog
     pytest tests/test_lint.py                 # the same engine as tests
@@ -31,7 +30,6 @@ from repro.lint.engine import (
     scan_root,
     select_rules,
 )
-from repro.lint.incremental import AnalysisCache
 from repro.lint.layering import (
     ALLOWED,
     DEFERRED_ALLOWED,
@@ -65,7 +63,6 @@ import repro.lint.taint  # noqa: F401,E402
 
 __all__ = [
     "ALLOWED",
-    "AnalysisCache",
     "Baseline",
     "DEFERRED_ALLOWED",
     "DeepRule",

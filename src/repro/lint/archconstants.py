@@ -93,7 +93,7 @@ class ArchConstantsRule(Rule):
         """Yield one finding per misplaced spec constant or cost table."""
         if _in_backends(module.name):
             return
-        aliases = ImportAliases.from_tree(module.tree)
+        aliases = module.aliases
         for node, ancestors in walk_with_parents(module.tree):
             if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue

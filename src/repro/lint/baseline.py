@@ -17,7 +17,9 @@ Workflow::
     python -m repro lint --prune-baseline     # drop + report stale entries
 
 Baseline entries that no longer match anything are reported as *stale*
-so the file shrinks as debt is paid down.
+so the file shrinks as debt is paid down.  A run judges only the rules
+it ran: entries of other rules are neither matched nor stale, and both
+baseline flags leave them in the file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Collection, Dict, List, Sequence, Tuple
 
 from repro.lint.rules import Finding
 
@@ -65,6 +67,18 @@ class Baseline:
             key = finding.fingerprint()
             counts[key] = counts.get(key, 0) + 1
         return cls(counts=counts)
+
+    def split(self, rules: Collection[str]) -> Tuple["Baseline", "Baseline"]:
+        """(entries of ``rules``, entries of every other rule).
+
+        The rule id is a fingerprint's first ``::`` field.
+        """
+        inside: Dict[str, int] = {}
+        outside: Dict[str, int] = {}
+        for key, count in self.counts.items():
+            rule = key.split("::", 1)[0]
+            (inside if rule in rules else outside)[key] = count
+        return Baseline(counts=inside), Baseline(counts=outside)
 
     def save(self, path: Path) -> Path:
         """Write the canonical (sorted, versioned) baseline file."""

@@ -5,11 +5,8 @@ The flow-sensitive engines (:mod:`repro.lint.taint`,
 module is summarized into a :class:`FunctionSummary` — its calls (with
 per-argument dataflow *atoms*), what its return value is made of, which
 designated sinks it feeds, which module globals it writes, and which
-concurrency entry points it registers.  Summaries are plain JSON-able
-data, which is what makes the incremental analysis cache
-(:mod:`repro.lint.incremental`) possible: extraction is strictly
-per-module, and the whole-program fixpoint in each engine's ``solve``
-re-runs from cached summaries without re-parsing unchanged files.
+concurrency entry points it registers.  Extraction is strictly
+per-module; the whole-program fixpoint lives in each engine's ``solve``.
 
 **Atoms** describe where a value may come from, without needing the
 rest of the program at extraction time:
@@ -34,7 +31,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.rules import ImportAliases, Module
+from repro.lint.rules import Module
 
 #: Atom tuples are (tag, payload) / (tag, payload, extra); see module doc.
 Atom = Tuple[str, ...]
@@ -134,25 +131,6 @@ class CallRecord:
     args: List[List[Atom]] = field(default_factory=list)
     kwargs: Dict[str, List[Atom]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """JSON form (atoms as lists)."""
-        return {
-            "callee": self.callee, "line": self.line,
-            "args": [[list(a) for a in arg] for arg in self.args],
-            "kwargs": {k: [list(a) for a in v]
-                       for k, v in sorted(self.kwargs.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallRecord":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            callee=data["callee"], line=data["line"],
-            args=[[tuple(a) for a in arg] for arg in data["args"]],
-            kwargs={k: [tuple(a) for a in v]
-                    for k, v in data["kwargs"].items()},
-        )
-
 
 @dataclass
 class SinkFlow:
@@ -162,17 +140,6 @@ class SinkFlow:
     kind: str  #: pricing / serialized-output / cache-key
     line: int
     atoms: List[Atom] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON form."""
-        return {"sink": self.sink, "kind": self.kind, "line": self.line,
-                "atoms": [list(a) for a in self.atoms]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SinkFlow":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(sink=data["sink"], kind=data["kind"], line=data["line"],
-                   atoms=[tuple(a) for a in data["atoms"]])
 
 
 @dataclass
@@ -184,17 +151,6 @@ class SubmitRecord:
     line: int
     #: Pickle-hazard descriptors: ("callable"|"arg", "lambda"|"nested <f>")
     hazards: List[List[str]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON form."""
-        return {"domain": self.domain, "target": self.target,
-                "line": self.line, "hazards": self.hazards}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SubmitRecord":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(domain=data["domain"], target=data["target"],
-                   line=data["line"], hazards=list(data["hazards"]))
 
 
 @dataclass
@@ -212,35 +168,6 @@ class FunctionSummary:
     obs_mutations: List[Tuple[int, str, str]] = field(default_factory=list)
     submits: List[SubmitRecord] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        """JSON form."""
-        return {
-            "qualname": self.qualname, "line": self.line,
-            "params": self.params,
-            "calls": [c.to_dict() for c in self.calls],
-            "returns": [list(a) for a in self.returns],
-            "sinks": [s.to_dict() for s in self.sinks],
-            "global_decls": [list(g) for g in self.global_decls],
-            "global_writes": [list(g) for g in self.global_writes],
-            "obs_mutations": [list(m) for m in self.obs_mutations],
-            "submits": [s.to_dict() for s in self.submits],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionSummary":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            qualname=data["qualname"], line=data["line"],
-            params=list(data["params"]),
-            calls=[CallRecord.from_dict(c) for c in data["calls"]],
-            returns=[tuple(a) for a in data["returns"]],
-            sinks=[SinkFlow.from_dict(s) for s in data["sinks"]],
-            global_decls=[tuple(g) for g in data["global_decls"]],
-            global_writes=[tuple(g) for g in data["global_writes"]],
-            obs_mutations=[tuple(m) for m in data["obs_mutations"]],
-            submits=[SubmitRecord.from_dict(s) for s in data["submits"]],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -254,27 +181,6 @@ class ModuleSummary:
     export_aliases: Dict[str, str] = field(default_factory=dict)
     #: Module-level names bound to mutable containers, name -> line.
     top_mutables: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON form."""
-        return {
-            "name": self.name, "relpath": self.relpath,
-            "functions": {q: f.to_dict()
-                          for q, f in sorted(self.functions.items())},
-            "export_aliases": dict(sorted(self.export_aliases.items())),
-            "top_mutables": dict(sorted(self.top_mutables.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            name=data["name"], relpath=data["relpath"],
-            functions={q: FunctionSummary.from_dict(f)
-                       for q, f in data["functions"].items()},
-            export_aliases=dict(data["export_aliases"]),
-            top_mutables=dict(data["top_mutables"]),
-        )
 
 
 _MUTABLE_CONSTRUCTORS = frozenset({
@@ -296,7 +202,7 @@ class _Resolver:
 
     def __init__(self, module: Module):
         self.module = module
-        self.aliases = ImportAliases.from_tree(module.tree)
+        self.aliases = module.aliases
         self.top_defs: Dict[str, str] = {}
         self.methods: Dict[str, Set[str]] = {}
         for node in ast.iter_child_nodes(module.tree):
@@ -708,24 +614,13 @@ class _FunctionWalker:
         self.atoms_of(node)
 
 
-def _uses_pools(module: Module) -> bool:
-    aliases = ImportAliases.from_tree(module.tree)
-    targets = list(aliases.modules.values()) + [
-        v.rsplit(".", 1)[0] for v in aliases.symbols.values()
-    ]
-    return any(
-        t == pool or t.startswith(pool + ".")
-        for t in targets
-        for pool in ("concurrent.futures", "multiprocessing")
-    )
-
-
 def summarize_module(module: Module) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` the deep engines solve over."""
     summary = ModuleSummary(name=module.name, relpath=module.relpath)
     resolver = _Resolver(module)
     root_pkg = module.name.split(".")[0]
-    uses_pools = _uses_pools(module)
+    uses_pools = module.aliases.imports_any(
+        ("concurrent.futures", "multiprocessing"))
 
     # Re-export aliases: ``from X import y`` binds ``<module>.y`` -> X.y.
     for node in ast.iter_child_nodes(module.tree):

@@ -64,7 +64,7 @@ class WallClockRule(Rule):
         """Flag imports and uses of banned clock functions."""
         if module.relpath in self.ALLOWED_MODULES:
             return
-        aliases = ImportAliases.from_tree(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and not node.level:
                 for alias in node.names:
@@ -114,7 +114,7 @@ class UnseededRngRule(Rule):
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag global-state RNG calls and from-imports of them."""
-        aliases = ImportAliases.from_tree(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and not node.level:
                 if node.module == "numpy.random":
@@ -205,7 +205,7 @@ class IterationOrderRule(Rule):
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag unsorted fs listings and for-loops over set expressions."""
-        aliases = ImportAliases.from_tree(module.tree)
+        aliases = module.aliases
         for node, ancestors in walk_with_parents(module.tree):
             if isinstance(node, ast.Call):
                 resolved = aliases.resolve(node.func)
@@ -262,19 +262,9 @@ class PoolSafetyRule(Rule):
     #: Imports that mark a module as pool-dispatching.
     POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
-    def _uses_pools(self, aliases: ImportAliases) -> bool:
-        targets = list(aliases.modules.values()) + [
-            v.rsplit(".", 1)[0] for v in aliases.symbols.values()
-        ]
-        return any(
-            t == pool or t.startswith(pool + ".")
-            for t in targets for pool in self.POOL_MODULES
-        )
-
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag globals and unpicklable submissions in pool modules."""
-        aliases = ImportAliases.from_tree(module.tree)
-        if not self._uses_pools(aliases):
+        if not module.aliases.imports_any(self.POOL_MODULES):
             return
         nested: set = set()
         for node, ancestors in walk_with_parents(module.tree):

@@ -2,24 +2,20 @@
 
 The repo's public-surface guarantees were previously enforced by
 scattered import-time asserts and test snippets: ``repro.api`` pins its
-``__all__``, deprecated names go through a warn-once ``__getattr__``
-shim, ``repro.vecprice.lowering`` refuses to import if its column order
-drifts from ``ALL_KINDS``, and every ``ArchBackend`` must implement the
-columnar ``tables_as_arrays`` lowering.  This engine turns those into
-*declared contracts the analyzer verifies*:
+``__all__``, ``repro.vecprice.lowering`` refuses to import if its column
+order drifts from ``ALL_KINDS``, and every ``ArchBackend`` must
+implement the columnar ``tables_as_arrays`` lowering.  This engine turns
+those into *declared contracts the analyzer verifies*:
 
 * every module with a literal ``__all__`` must bind each listed name
   (no drift, no duplicates);
 * pinned facades (``repro/api.py``) must carry a literal ``__all__``;
-* a ``_DEPRECATED`` shim table implies a module ``__getattr__`` that
-  calls ``warnings.warn``, keys absent from ``__all__`` (deprecated
-  names are not re-advertised) and replacement values present in it;
 * field-order-guarded modules must keep their import-time guard
   comparing against the declared order constant;
 * classes subclassing ``ArchBackend`` must define ``tables_as_arrays``.
 
-Extraction is per-module and JSON-able like the other deep engines, so
-the contracts ride the same incremental cache.
+Extraction is per-module like the other deep engines; the solver checks
+the declarations program-wide.
 """
 
 from __future__ import annotations
@@ -62,31 +58,12 @@ def _literal_strings(node: ast.AST) -> Optional[List[str]]:
     return out
 
 
-def _literal_str_dict(node: ast.AST) -> Optional[Dict[str, str]]:
-    """A literal ``{str: str}`` dict, else None."""
-    if not isinstance(node, ast.Dict):
-        return None
-    out: Dict[str, str] = {}
-    for key, value in zip(node.keys, node.values):
-        if (
-            isinstance(key, ast.Constant) and isinstance(key.value, str)
-            and isinstance(value, ast.Constant)
-            and isinstance(value.value, str)
-        ):
-            out[key.value] = value.value
-        else:
-            return None
-    return out
-
-
 def extract_contract_facts(module: Module) -> dict:
     """Per-module declarations the contract solver checks."""
     facts: dict = {
         "all": None, "all_line": 0,
         "bound": [],
-        "deprecated": None, "deprecated_line": 0,
         "has_getattr": False,
-        "getattr_warns": False,
         "has_star": False,
         "guards": [],
         "classes": {},
@@ -97,14 +74,6 @@ def extract_contract_facts(module: Module) -> dict:
             bound.add(node.name)
             if node.name == "__getattr__":
                 facts["has_getattr"] = True
-                calls_warn = any(
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, (ast.Name, ast.Attribute))
-                    and (child.func.id if isinstance(child.func, ast.Name)
-                         else child.func.attr) == "warn"
-                    for child in ast.walk(node)
-                )
-                facts["getattr_warns"] = calls_warn
         elif isinstance(node, ast.ClassDef):
             bound.add(node.name)
             bases = [
@@ -138,9 +107,6 @@ def extract_contract_facts(module: Module) -> dict:
                 if target.id == "__all__" and node.value is not None:
                     facts["all"] = _literal_strings(node.value)
                     facts["all_line"] = node.lineno
-                elif target.id == "_DEPRECATED" and node.value is not None:
-                    facts["deprecated"] = _literal_str_dict(node.value)
-                    facts["deprecated_line"] = node.lineno
         elif isinstance(node, ast.If):
             has_raise = any(
                 isinstance(child, ast.Raise) for child in node.body
@@ -159,12 +125,12 @@ class ApiContractRule(DeepRule):
     """Declared public-surface contracts must hold program-wide."""
 
     id = "api-contract"
-    summary = "__all__ pins, deprecation shims, and lowering hooks must hold"
+    summary = "__all__ pins, field-order guards, and lowering hooks must hold"
     rationale = (
-        "the facade's pinned __all__, the warn-once deprecation shims, "
-        "and the tables_as_arrays/ALL_KINDS field-order guards are "
-        "load-bearing compatibility contracts; verifying them statically "
-        "catches drift before an import-time assert or a user does"
+        "the facade's pinned __all__ and the tables_as_arrays/ALL_KINDS "
+        "field-order guards are load-bearing compatibility contracts; "
+        "verifying them statically catches drift before an import-time "
+        "assert or a user does"
     )
     facts_key = "contracts"
 
@@ -222,38 +188,6 @@ class ApiContractRule(DeepRule):
                         "(the compatibility surface is the contract)"
                     ),
                 ))
-
-            deprecated = data["deprecated"]
-            if deprecated is not None:
-                if not data["getattr_warns"]:
-                    findings.append(Finding(
-                        rule=self.id, path=relpath,
-                        line=data["deprecated_line"],
-                        message=(
-                            "_DEPRECATED table without a module "
-                            "__getattr__ calling warnings.warn — the "
-                            "shim never fires"
-                        ),
-                    ))
-                for old, new in sorted(deprecated.items()):
-                    if exported is not None and old in exported:
-                        findings.append(Finding(
-                            rule=self.id, path=relpath,
-                            line=data["deprecated_line"],
-                            message=(
-                                f"deprecated name {old!r} is still "
-                                f"advertised in __all__"
-                            ),
-                        ))
-                    if exported is not None and new not in exported:
-                        findings.append(Finding(
-                            rule=self.id, path=relpath,
-                            line=data["deprecated_line"],
-                            message=(
-                                f"deprecation shim {old!r} -> {new!r} "
-                                f"points at a name missing from __all__"
-                            ),
-                        ))
 
             guard_const = GUARDED_FIELD_ORDER.get(relpath)
             if guard_const is not None and guard_const not in data["guards"]:

@@ -1,25 +1,15 @@
 """The lint runner: scan, parse once, dispatch rules, apply suppressions.
 
 One :func:`run_lint` call walks a package root (``src/repro`` by
-default) in sorted order, analyzes every file exactly once, hands the
+default) in sorted order, parses every file exactly once, hands the
 modules to each per-file rule, the import graph to each whole-program
 rule, and the extracted fact pool to each deep rule, then filters the
 findings through the suppression pragmas and the committed baseline.
 Everything downstream — the text/JSON/SARIF reporters, the CLI exit
 code, the pytest entry point — works off the returned
-:class:`LintResult`.
-
-Three engine axes compose:
-
-* ``analyze="deep"`` adds the flow-sensitive whole-program rules
-  (taint propagation, race detection, contract checking) on top of the
-  per-file set;
-* ``jobs=N`` parallelizes the per-module phase across a process pool
-  — findings stay byte-identical to ``jobs=1`` because per-module
-  records merge in sorted path order and all whole-program solving
-  happens in the parent;
-* ``cache_path=...`` enables the incremental cache: only changed
-  modules and their reverse-dependency cone re-analyze.
+:class:`LintResult`.  ``analyze="deep"`` adds the flow-sensitive
+whole-program rules (taint propagation, race detection, contract
+checking) on top of the per-file set.
 
 Suppression pragma::
 
@@ -38,27 +28,19 @@ from __future__ import annotations
 
 import ast
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.baseline import Baseline
-from repro.lint.incremental import (
-    AnalysisCache,
-    ModuleEntry,
-    content_hash,
-    rules_signature,
-)
 from repro.lint.rules import (
     DeepRule,
     Finding,
     Module,
     Rule,
     all_rules,
+    build_import_graph,
     get_rule,
-    graph_from_records,
-    collect_import_records,
     register_rule,
     rule_ids,
 )
@@ -121,17 +103,6 @@ class Suppressions:
             return rules[rule_id]
         return rules.get(ALL_RULES, "")
 
-    def to_dict(self) -> Dict[str, Dict[str, str]]:
-        """JSON form for the incremental cache (line keys as strings)."""
-        return {str(line): dict(sorted(rules.items()))
-                for line, rules in sorted(self.by_line.items())}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Dict[str, str]]) -> "Suppressions":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(by_line={int(line): dict(rules)
-                            for line, rules in data.items()})
-
 
 def scan_pragmas(module: Module) -> Tuple[Suppressions, List[Finding]]:
     """Extract the suppression table and any pragma-hygiene findings.
@@ -189,18 +160,6 @@ def _module_meta(root: Path, path: Path) -> Tuple[str, str]:
     return f"{root.name}/{rel.as_posix()}", ".".join(dotted)
 
 
-def _parse_module(root: Path, relpath: str) -> Module:
-    """Parse one file (relative to ``root``'s parent) into a Module."""
-    path = root.parent / relpath
-    _, name = _module_meta(root, path)
-    text = path.read_text()
-    return Module(
-        path=path, relpath=relpath, name=name,
-        tree=ast.parse(text, filename=str(path)),
-        lines=text.splitlines(),
-    )
-
-
 def scan_root(root: Path) -> List[Module]:
     """Parse every ``*.py`` under ``root`` into :class:`Module` objects.
 
@@ -232,8 +191,6 @@ class LintResult:
     files: int  #: modules scanned
     rules: List[str]  #: rule ids that ran
     analyze: str = "basic"  #: analysis mode this result came from
-    analyzed: List[str] = field(default_factory=list)  #: re-analyzed relpaths
-    reused: List[str] = field(default_factory=list)  #: cache-served relpaths
 
     @property
     def clean(self) -> bool:
@@ -259,80 +216,12 @@ def select_rules(
     return [get_rule(rule_id) for rule_id in rules]
 
 
-def _analyze_module(
-    module: Module,
-    module_rules: Sequence[Rule],
-    extractors: Dict[str, "DeepRule"],
-    digest: str,
-) -> ModuleEntry:
-    """Run the cacheable per-module phase for one parsed module."""
-    findings: List[Finding] = []
-    for rule in module_rules:
-        findings.extend(rule.check_module(module))
-    suppressions, pragma_findings = scan_pragmas(module)
-
-    def _snip(finding: Finding) -> Finding:
-        if 1 <= finding.line <= len(module.lines):
-            return finding.with_snippet(module.lines[finding.line - 1])
-        return finding
-
-    facts = {key: extractor.extract(module)
-             for key, extractor in sorted(extractors.items())}
-    return ModuleEntry(
-        hash=digest,
-        name=module.name,
-        findings=[_snip(f).to_dict() for f in findings],
-        pragma_findings=[_snip(f).to_dict() for f in pragma_findings],
-        suppressions=suppressions.to_dict(),
-        imports=collect_import_records(module),
-        facts=facts,
-    )
-
-
-def _extractors_for(deep_rules: Sequence[DeepRule]) -> Dict[str, DeepRule]:
-    """One representative extractor per shared facts key."""
-    extractors: Dict[str, DeepRule] = {}
-    for rule in deep_rules:
-        extractors.setdefault(rule.facts_key, rule)
-    return extractors
-
-
-def _scan_worker(
-    payload: Tuple[str, List[str], List[str], List[str]],
-) -> List[Tuple[str, dict]]:
-    """Process-pool worker: analyze a chunk of files, return JSON records.
-
-    Workers re-import :mod:`repro.lint` to register the rule registry in
-    their own process, parse each assigned file, and ship back plain
-    dicts — no AST trees cross the pickle boundary.
-    """
-    import repro.lint  # noqa: F401  (registers every rule)
-
-    root_str, relpaths, module_rule_ids, facts_keys = payload
-    root = Path(root_str)
-    module_rules = [get_rule(rid) for rid in module_rule_ids]
-    deep_rules = [r for r in all_rules()
-                  if isinstance(r, DeepRule) and r.facts_key in facts_keys]
-    extractors = _extractors_for(deep_rules)
-    out: List[Tuple[str, dict]] = []
-    for relpath in relpaths:
-        module = _parse_module(root, relpath)
-        text = module.path.read_text()
-        entry = _analyze_module(
-            module, module_rules, extractors, content_hash(text)
-        )
-        out.append((relpath, entry.to_dict()))
-    return out
-
-
 def run_lint(
     root: Optional[Path] = None,
     rules: Optional[Sequence[str]] = None,
     baseline_path: Optional[Path] = None,
     use_baseline: bool = True,
     analyze: str = "basic",
-    jobs: int = 1,
-    cache_path: Optional[Path] = None,
 ) -> LintResult:
     """Run the framework over ``root`` and return the filtered result.
 
@@ -343,15 +232,11 @@ def run_lint(
             selected ``analyze`` mode.
         baseline_path: Baseline file (default:
             ``<repo>/lint-baseline.json`` relative to ``root``; a
-            missing file is an empty baseline).
+            missing file is an empty baseline).  Only the entries of
+            the rules that ran are matched or reported stale.
         use_baseline: Set False to report grandfathered findings too.
         analyze: ``"basic"`` (per-file + import-graph rules) or
             ``"deep"`` (adds taint/race/contract whole-program rules).
-        jobs: Worker processes for the per-module phase; findings are
-            byte-identical at any value.
-        cache_path: Incremental-cache file; when given, unchanged
-            modules (outside the reverse-dependency cone of changes)
-            are served from cache.
     """
     root = Path(root) if root is not None else default_root()
     selected = select_rules(rules, analyze)
@@ -359,84 +244,39 @@ def run_lint(
     deep_rules = [r for r in selected if isinstance(r, DeepRule)]
     deep_ids = {r.id for r in deep_rules}
     module_rules = [r for r in selected if not isinstance(r, DeepRule)]
-    module_rule_ids = sorted(r.id for r in module_rules)
-    extractors = _extractors_for(deep_rules)
-    facts_keys = sorted(extractors)
 
-    # -- discover files and plan the incremental work -----------------------
-    current: Dict[str, Tuple[str, str]] = {}
-    for path in sorted(root.rglob("*.py")):
-        relpath, name = _module_meta(root, path)
-        current[relpath] = (content_hash(path.read_text()), name)
+    modules = scan_root(root)
+    graph = build_import_graph(modules)
 
-    signature = rules_signature(sorted(selected_ids))
-    cache = AnalysisCache.load(cache_path, signature)
-    dirty, reused = cache.plan(current)
-
-    # -- per-module phase: inline or fan out over a process pool ------------
-    todo = sorted(dirty)
-    if todo:
-        if jobs > 1 and len(todo) > 1:
-            workers = min(jobs, len(todo))
-            chunks: List[List[str]] = [[] for _ in range(workers)]
-            for index, relpath in enumerate(todo):
-                chunks[index % workers].append(relpath)
-            payloads = [
-                (str(root), chunk, module_rule_ids, facts_keys)
-                for chunk in chunks if chunk
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_scan_worker, payloads):
-                    for relpath, entry in result:
-                        cache.modules[relpath] = ModuleEntry.from_dict(entry)
-        else:
-            for relpath in todo:
-                module = _parse_module(root, relpath)
-                cache.modules[relpath] = _analyze_module(
-                    module, module_rules, extractors, current[relpath][0]
-                )
-    cache.modules = {rp: entry for rp, entry in cache.modules.items()
-                     if rp in current}
-
-    # -- whole-program phase: always re-solved in the parent ----------------
-    relpaths = sorted(current)
-    entries = {rp: cache.modules[rp] for rp in relpaths}
-    stub_modules = [
-        Module(path=root.parent / rp, relpath=rp,
-               name=entries[rp].name, tree=None, lines=[])
-        for rp in relpaths
-    ]
-    graph = graph_from_records(
-        {entries[rp].name: (rp, entries[rp].imports) for rp in relpaths},
-        [entries[rp].name for rp in relpaths],
-    )
-
-    suppression_of: Dict[str, Suppressions] = {
-        rp: Suppressions.from_dict(entries[rp].suppressions)
-        for rp in relpaths
-    }
+    # -- per-module rules and pragma tables ---------------------------------
     collected: List[Finding] = []
-    for rp in relpaths:
-        collected.extend(
-            Finding.from_dict(f) for f in entries[rp].findings
-        )
+    suppression_of: Dict[str, Suppressions] = {}
+    for module in modules:
+        for rule in module_rules:
+            collected.extend(rule.check_module(module))
+        suppressions, pragma_findings = scan_pragmas(module)
+        suppression_of[module.relpath] = suppressions
         if "pragma-hygiene" in selected_ids:
-            collected.extend(
-                Finding.from_dict(f) for f in entries[rp].pragma_findings
-            )
-    for rule in module_rules:
-        collected.extend(rule.check_program(stub_modules, graph))
-    for rule in deep_rules:
-        facts = {rp: entries[rp].facts[rule.facts_key] for rp in relpaths}
-        collected.extend(rule.solve(facts, stub_modules, graph))
+            collected.extend(pragma_findings)
 
-    # -- attach snippets (fingerprint input) to late findings ---------------
-    lines_of: Dict[str, List[str]] = {}
+    # -- whole-program rules: import graph, then the deep fact pools --------
+    for rule in module_rules:
+        collected.extend(rule.check_program(modules, graph))
+    facts: Dict[str, Dict[str, Any]] = {}
+    for rule in deep_rules:
+        if rule.facts_key not in facts:
+            facts[rule.facts_key] = {m.relpath: rule.extract(m)
+                                     for m in modules}
+        collected.extend(rule.solve(facts[rule.facts_key], modules, graph))
+
+    # -- attach snippets (fingerprint input) --------------------------------
+    lines_of: Dict[str, List[str]] = {m.relpath: m.lines for m in modules}
 
     def _snippet(finding: Finding) -> Finding:
         if finding.snippet:
             return finding
         if finding.path not in lines_of:
+            # Out-of-package files (the facade rule's examples/ scan).
             candidate = root.parent / finding.path
             if not candidate.is_file():
                 candidate = root.parents[1] / finding.path
@@ -481,16 +321,13 @@ def run_lint(
     raw.sort(key=Finding.sort_key)
 
     if use_baseline:
-        baseline = Baseline.load(
+        baseline, _ = Baseline.load(
             baseline_path if baseline_path is not None
             else default_baseline_path(root)
-        )
+        ).split(selected_ids)
         new, baselined, stale = baseline.apply(raw)
     else:
         new, baselined, stale = list(raw), 0, []
-
-    if cache_path is not None:
-        cache.save(Path(cache_path))
 
     return LintResult(
         findings=new,
@@ -498,9 +335,7 @@ def run_lint(
         suppressed=suppressed,
         baselined=baselined,
         stale_baseline=stale,
-        files=len(relpaths),
+        files=len(modules),
         rules=sorted(rule.id for rule in selected),
         analyze=analyze,
-        analyzed=sorted(dirty),
-        reused=sorted(reused),
     )

@@ -80,27 +80,23 @@ class WorkerSharedStateRule(DeepRule):
     )
     facts_key = "callgraph"
 
-    def extract(self, module: Module) -> dict:
+    def extract(self, module: Module) -> ModuleSummary:
         """Summarize the module's functions for the shared fact pool."""
-        return summarize_module(module).to_dict()
+        return summarize_module(module)
 
     def solve(
         self,
-        facts: Dict[str, dict],
+        facts: Dict[str, ModuleSummary],
         modules: Sequence[Module],
         graph: ImportGraph,
     ) -> Iterable[Finding]:
         """Reachability from every dispatch entry; flag unsafe writes."""
-        summaries = {
-            relpath: ModuleSummary.from_dict(data)
-            for relpath, data in facts.items()
-        }
-        table = FunctionTable(summaries)
+        table = FunctionTable(facts)
         findings: List[Finding] = []
         seen: set = set()
 
         for domain, entries in sorted(
-            _entries_by_domain(summaries).items()
+            _entries_by_domain(facts).items()
         ):
             reachable = table.reachable_from([e for e, _ in entries])
             for qualname in sorted(reachable):
@@ -143,10 +139,10 @@ class WorkerSharedStateRule(DeepRule):
         # Obs-singleton attribute mutation is unsafe from *any* path:
         # the serial campaign branch and a pooled worker must share one
         # discipline or --jobs 1 and --jobs N diverge on restore bugs.
-        for relpath in sorted(summaries):
+        for relpath in sorted(facts):
             if relpath in SANCTIONED_STATE_MODULES:
                 continue
-            for qualname, fn in sorted(summaries[relpath].functions.items()):
+            for qualname, fn in sorted(facts[relpath].functions.items()):
                 for line, attr, what in fn.obs_mutations:
                     findings.append(Finding(
                         rule=self.id, path=relpath, line=line,
@@ -174,24 +170,20 @@ class PoolPickleSafetyRule(DeepRule):
     )
     facts_key = "callgraph"
 
-    def extract(self, module: Module) -> dict:
+    def extract(self, module: Module) -> ModuleSummary:
         """Summarize the module's functions for the shared fact pool."""
-        return summarize_module(module).to_dict()
+        return summarize_module(module)
 
     def solve(
         self,
-        facts: Dict[str, dict],
+        facts: Dict[str, ModuleSummary],
         modules: Sequence[Module],
         graph: ImportGraph,
     ) -> Iterable[Finding]:
         """Flag pickle hazards recorded at process-pool dispatch sites."""
-        summaries = {
-            relpath: ModuleSummary.from_dict(data)
-            for relpath, data in facts.items()
-        }
         findings: List[Finding] = []
-        for relpath in sorted(summaries):
-            for qualname, fn in sorted(summaries[relpath].functions.items()):
+        for relpath in sorted(facts):
+            for qualname, fn in sorted(facts[relpath].functions.items()):
                 for submit in fn.submits:
                     if submit.domain != "process-pool":
                         continue

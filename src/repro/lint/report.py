@@ -1,9 +1,9 @@
 """Reporters: render a :class:`~repro.lint.engine.LintResult`.
 
 Three formats: human text (grouped by file, one finding per line,
-summary last), machine JSON (canonical key order, stable across runs —
-the CI gate diffs it), and SARIF 2.1.0 (what GitHub code scanning
-ingests to annotate PR diffs).  All render only what the engine
+summary last), machine JSON (canonical key order, stable across
+runs), and SARIF 2.1.0 (what GitHub code scanning ingests to annotate
+PR diffs; the CI gate writes it).  All render only what the engine
 already computed; no rule logic lives here.
 """
 
@@ -42,11 +42,6 @@ def render_text(result: LintResult) -> str:
         f"{result.suppressed} suppressed, {result.baselined} baselined, "
         f"{len(result.stale_baseline)} stale baseline entrie(s)"
     )
-    if result.reused:
-        lines.append(
-            f"incremental: {len(result.analyzed)} module(s) re-analyzed, "
-            f"{len(result.reused)} served from cache"
-        )
     for stale in result.stale_baseline:
         lines.append(f"stale baseline entry (fixed? prune it): {stale}")
     return "\n".join(lines)

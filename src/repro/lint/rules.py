@@ -17,8 +17,9 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -72,21 +73,14 @@ class Finding:
             "snippet": self.snippet,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache/workers)."""
-        return cls(
-            rule=data["rule"], path=data["path"], line=data["line"],
-            message=data["message"], snippet=data.get("snippet", ""),
-        )
-
 
 @dataclass
 class Module:
     """A parsed source file handed to every rule.
 
-    The engine parses each file exactly once; rules share the tree and
-    the raw source lines (the latter drive pragma detection).
+    The engine parses each file exactly once; rules share the tree, the
+    raw source lines (the latter drive pragma detection) and the import
+    alias table.
     """
 
     path: Path  #: absolute filesystem path
@@ -94,6 +88,11 @@ class Module:
     name: str  #: dotted module name (``repro.obs.tracer``)
     tree: ast.Module
     lines: List[str]
+
+    @cached_property
+    def aliases(self) -> "ImportAliases":
+        """The module's import-alias table, built once and shared."""
+        return ImportAliases.from_tree(self.tree)
 
 
 class Rule:
@@ -125,32 +124,30 @@ class DeepRule(Rule):
     Deep rules (``repro lint --analyze deep``) separate the per-module
     work from the whole-program reasoning:
 
-    * :meth:`extract` reads one parsed module and returns **JSON-able
-      facts** — this half is parallelized across worker processes and
-      cached per-module by the incremental engine;
-    * :meth:`solve` sees every module's facts at once (fresh or from
-      cache) and yields findings — this half always re-runs, because a
-      change in one module can create a violation reported in another.
+    * :meth:`extract` reads one parsed module and returns its facts;
+    * :meth:`solve` sees every module's facts at once and yields
+      findings, because a change in one module can create a violation
+      reported in another.
 
     Rules sharing :attr:`facts_key` share one extraction pass: the
     taint and race engines both solve over the call-graph summaries
     produced by :func:`repro.lint.callgraph.summarize_module`.
     """
 
-    #: Extraction-cache key; rules with the same key share extract output.
+    #: Rules with the same key share one :meth:`extract` pass.
     facts_key: str = ""
 
-    def extract(self, module: Module) -> dict:
-        """Per-module JSON-able facts for :meth:`solve` (cacheable)."""
+    def extract(self, module: Module) -> Any:
+        """Per-module facts for :meth:`solve`."""
         return {}
 
     def solve(
         self,
-        facts: Dict[str, dict],
+        facts: Dict[str, Any],
         modules: Sequence[Module],
         graph: "ImportGraph",
     ) -> Iterable[Finding]:
-        """Whole-program pass over ``{relpath: facts}``; always re-runs."""
+        """Whole-program pass over ``{relpath: facts}``."""
         return ()
 
 
@@ -227,83 +224,44 @@ def _resolve_relative(module_name: str, level: int, base: Optional[str]) -> str:
     return ".".join(anchor)
 
 
-def collect_import_records(module: Module) -> List[dict]:
-    """Raw, *unresolved* import records for one module (JSON-able).
+def build_import_graph(modules: Sequence[Module]) -> ImportGraph:
+    """Collect every import edge from every module, tagging deferred ones.
 
-    ``from X import y`` targets cannot be resolved per-module: whether
-    ``y`` names a scanned submodule or a symbol depends on the global
-    module-name set.  The incremental cache therefore stores these raw
-    records and the engine resolves them against the current scan via
-    :func:`graph_from_records` — which is also why a module edit must
-    re-analyze its reverse-dependency cone.
+    ``from X import y`` may import a submodule or a symbol: the edge
+    targets ``X.y`` when that names a scanned module, else ``X``.
+    Edges come in module-name order, then file order.
     """
-    records: List[dict] = []
-    _collect_records(module, module.tree, deferred=False, records=records)
-    return records
-
-
-def _collect_records(
-    module: Module, node: ast.AST, deferred: bool, records: List[dict]
-) -> None:
-    for child in ast.iter_child_nodes(node):
-        child_deferred = deferred or isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef)
-        )
-        if isinstance(child, ast.Import):
-            for alias in child.names:
-                records.append({
-                    "kind": "import", "target": alias.name,
-                    "name": "", "line": child.lineno, "deferred": deferred,
-                })
-        elif isinstance(child, ast.ImportFrom):
-            base = _resolve_relative(module.name, child.level, child.module)
-            for alias in child.names:
-                records.append({
-                    "kind": "from", "target": base,
-                    "name": alias.name, "line": child.lineno,
-                    "deferred": deferred,
-                })
-        else:
-            _collect_records(module, child, child_deferred, records)
-
-
-def graph_from_records(
-    records_by_module: Dict[str, Tuple[str, List[dict]]],
-    module_names: Sequence[str],
-) -> ImportGraph:
-    """Resolve raw records into an :class:`ImportGraph`.
-
-    ``records_by_module`` maps dotted module name -> (relpath, records).
-    """
-    graph = ImportGraph(module_names=list(module_names))
-    names = set(module_names)
-    for src_module in sorted(records_by_module):
-        relpath, records = records_by_module[src_module]
-        for record in records:
-            if record["kind"] == "import":
-                target = record["target"]
-            else:
-                base = record["target"]
-                # ``from repro.x import y``: y may be a submodule or a
-                # symbol; use the joined candidate when it names a
-                # scanned module, else the base package.
-                joined = (f"{base}.{record['name']}" if base
-                          else record["name"])
-                target = joined if joined in names else base
-            graph.edges.append(ImportEdge(
-                src_module=src_module, target=target,
-                path=relpath, line=record["line"],
-                deferred=record["deferred"],
-            ))
+    graph = ImportGraph(module_names=[m.name for m in modules])
+    names = set(graph.module_names)
+    by_name = {m.name: m for m in modules}
+    for name in sorted(by_name):
+        _collect_edges(by_name[name], by_name[name].tree, False, names,
+                       graph.edges)
     return graph
 
 
-def build_import_graph(modules: Sequence[Module]) -> ImportGraph:
-    """Collect every import edge from every module, tagging deferred ones."""
-    records_by_module = {
-        m.name: (m.relpath, collect_import_records(m)) for m in modules
-    }
-    return graph_from_records(records_by_module, [m.name for m in modules])
+def _collect_edges(
+    module: Module, node: ast.AST, deferred: bool, names: Set[str],
+    edges: List[ImportEdge],
+) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            targets = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            base = _resolve_relative(module.name, child.level, child.module)
+            joined = [f"{base}.{alias.name}" if base else alias.name
+                      for alias in child.names]
+            targets = [j if j in names else base for j in joined]
+        else:
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            _collect_edges(module, child, deferred or nested, names, edges)
+            continue
+        edges.extend(
+            ImportEdge(src_module=module.name, target=target,
+                       path=module.relpath, line=child.lineno,
+                       deferred=deferred)
+            for target in targets
+        )
 
 
 @dataclass
@@ -336,6 +294,16 @@ class ImportAliases:
                     local = alias.asname or alias.name
                     aliases.symbols[local] = f"{node.module}.{alias.name}"
         return aliases
+
+    def imports_any(self, packages: Sequence[str]) -> bool:
+        """True when the module imports one of ``packages`` or below."""
+        targets = list(self.modules.values()) + [
+            v.rsplit(".", 1)[0] for v in self.symbols.values()
+        ]
+        return any(
+            t == pkg or t.startswith(pkg + ".")
+            for t in targets for pkg in packages
+        )
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Canonical dotted name for a Name/Attribute chain, if known."""

@@ -190,22 +190,18 @@ class TaintDeterminismRule(DeepRule):
     )
     facts_key = "callgraph"
 
-    def extract(self, module: Module) -> dict:
+    def extract(self, module: Module) -> ModuleSummary:
         """Summarize the module's functions for the shared fact pool."""
-        return summarize_module(module).to_dict()
+        return summarize_module(module)
 
     def solve(
         self,
-        facts: Dict[str, dict],
+        facts: Dict[str, ModuleSummary],
         modules: Sequence[Module],
         graph: ImportGraph,
     ) -> Iterable[Finding]:
         """Run the fixpoint over every module's summaries."""
-        summaries = {
-            relpath: ModuleSummary.from_dict(data)
-            for relpath, data in facts.items()
-        }
-        solver = TaintSolver(summaries)
+        solver = TaintSolver(facts)
         solver.run()
         return solver.findings()
 

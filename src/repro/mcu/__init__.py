@@ -16,7 +16,6 @@ from repro.mcu.pipeline import CycleBreakdown, PipelineModel
 from repro.mcu.static import CODE_BLOCKS, StaticMix, compose, static_profile
 
 __all__ = [
-    "ARCHS",
     "CHARACTERIZATION_ARCHS",
     "M0PLUS",
     "M33",
@@ -45,9 +44,8 @@ __all__ = [
 ]
 
 #: Legacy names forwarded lazily to :mod:`repro.mcu.arch` so that
-#: ``import repro.mcu`` neither triggers the ``ARCHS`` deprecation
-#: warning nor forces the backend registry to load eagerly.
-_FORWARDED = ("ARCHS", "CHARACTERIZATION_ARCHS", "M0PLUS", "M33", "M4", "M7")
+#: ``import repro.mcu`` does not force the backend registry to load.
+_FORWARDED = ("CHARACTERIZATION_ARCHS", "M0PLUS", "M33", "M4", "M7")
 
 
 def __getattr__(name: str):

@@ -5,9 +5,9 @@ its component specs — while the concrete cores and every cost table live
 in :mod:`repro.backends` (the Cortex-M fleet in
 :mod:`repro.backends.cortex_m`, the RV32 family in
 :mod:`repro.backends.riscv`).  :func:`get_arch` and the legacy names
-(``M4``, ``ARCHS``, ``CHARACTERIZATION_ARCHS``) resolve through the
-backend registry, so code written against this module keeps working while
-new ISA families appear without touching it.
+(``M4``, ``CHARACTERIZATION_ARCHS``) resolve through the backend
+registry, so code written against this module keeps working while new
+ISA families appear without touching it.
 
 All quantitative parameters are calibrated so the *relationships* the paper
 reports (who wins, by what factor, where caches matter) are reproduced; they
@@ -16,7 +16,6 @@ are not datasheet transcriptions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -166,10 +165,7 @@ def get_arch(name: str) -> ArchSpec:
 
 
 #: Legacy names resolved through the backend registry on first access.
-#: ``ARCHS`` is deprecated (use ``repro.backends.arch_names``/``get_arch``);
-#: the core constants and ``CHARACTERIZATION_ARCHS`` remain supported.
 _REGISTRY_CORES = ("M0PLUS", "M4", "M33", "M7")
-_warned_deprecated = set()
 
 
 def __getattr__(name: str):
@@ -177,19 +173,6 @@ def __getattr__(name: str):
         from repro.backends import cortex_m
 
         return getattr(cortex_m, name)
-    if name == "ARCHS":
-        if name not in _warned_deprecated:
-            _warned_deprecated.add(name)
-            warnings.warn(
-                "repro.mcu.arch.ARCHS is deprecated; use "
-                "repro.backends.arch_names() / get_arch() — the registry "
-                "includes non-Cortex-M backends this dict predates",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro.backends import all_archs
-
-        return {a.name: a for a in all_archs()}
     if name == "CHARACTERIZATION_ARCHS":
         # The three cores characterized in the paper's Section V tables.
         from repro.backends import characterization_archs

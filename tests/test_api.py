@@ -3,11 +3,9 @@
 The first test is the public-API snapshot: ``repro.api.__all__`` is
 compared against a pinned list, so any addition, removal, or rename of
 the supported surface fails here until this file is updated — an
-explicit, reviewed act.  The rest covers the deprecation shims, the
-verb wrappers, and the typed ``ResultKeyError`` lookup contract.
+explicit, reviewed act.  The rest covers the verb wrappers and the
+typed ``ResultKeyError`` lookup contract.
 """
-
-import warnings
 
 import pytest
 
@@ -92,31 +90,6 @@ def test_dir_lists_public_and_deprecated_names():
     listed = dir(api)
     for name in PUBLIC_API:
         assert name in listed
-    assert "FaultCampaignSpec" in listed
-    assert "characterize_suite" in listed
-
-
-# ------------------------------------------------------ deprecation shims
-
-
-def test_deprecated_aliases_warn_once_and_forward():
-    api._warned.clear()
-    with pytest.warns(DeprecationWarning, match="use repro.api.CampaignSpec"):
-        legacy = api.FaultCampaignSpec
-    assert legacy is api.CampaignSpec
-    # Second access is silent: the warning fires once per process.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert api.FaultCampaignSpec is api.CampaignSpec
-
-    api._warned.discard("characterize_suite")
-    with pytest.warns(DeprecationWarning, match="use repro.api.characterize"):
-        assert api.characterize_suite is api.characterize
-
-
-def test_deprecated_aliases_stay_out_of_all():
-    assert "FaultCampaignSpec" not in api.__all__
-    assert "characterize_suite" not in api.__all__
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -11,15 +11,14 @@ The load-bearing guarantees, in order of importance:
    the repo's byte-identical-across-``--jobs`` contract, and Tier-B
    generation actually samples both families.
 3. The registry surface itself: ordering, typed ``ArchKeyError`` with a
-   nearest-match suggestion, the deprecated ``ARCHS`` shim, the
-   ``characterization_archs`` ISA filter, and the ``repro.api`` verbs.
+   nearest-match suggestion, the ``characterization_archs`` ISA filter,
+   and the ``repro.api`` verbs.
 4. The quantized TinyML pack prices the way the paper's deployment
    story says it should: int8 wins big on soft-float cores and loses its
    edge on an FPU core.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -111,18 +110,6 @@ def test_unknown_arch_raises_typed_error_with_suggestion():
     assert excinfo.value.suggestion is None
     # The shim re-exported from the legacy module is the same class.
     assert arch_mod.ArchKeyError is ArchKeyError
-
-
-def test_archs_dict_shim_warns_once_and_covers_the_registry():
-    arch_mod._warned_deprecated.discard("ARCHS")
-    with pytest.warns(DeprecationWarning, match="ARCHS is deprecated"):
-        legacy = arch_mod.ARCHS
-    assert list(legacy) == ALL_ARCHS
-    assert legacy["m4"] is get_arch("m4")
-    # Second access is silent: the warning fires once per process.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert list(arch_mod.ARCHS) == ALL_ARCHS
 
 
 def test_riscv_specs_model_the_family():

@@ -545,7 +545,7 @@ def test_facade_rule_passes_facade_and_building_block_imports(tmp_path):
             from repro.api import SweepSpec, sweep
             from repro.core.experiment_io import result_to_dict
             from repro.core.config import HarnessConfig
-            from repro.mcu.arch import ARCHS
+            from repro.mcu.arch import CHARACTERIZATION_ARCHS
         """,
     }, rules=["facade-only-imports"])
     assert findings == []

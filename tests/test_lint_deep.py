@@ -3,10 +3,9 @@
 Covers the three deep engines — determinism taint propagation,
 shared-state race detection, and API-contract checking — against the
 committed fixture packages under ``tests/fixtures/lint/`` (one seeded
-violation per rule, each with a clean twin), plus the incremental
-cache (changed modules + reverse-import cone re-analyze), the
-``--jobs`` determinism guarantee, SARIF rendering, and the
-reason-required pragma policy for whole-program suppressions.
+violation per rule, each with a clean twin), plus SARIF rendering, the
+rule-scoped baseline, and the reason-required pragma policy for
+whole-program suppressions.
 """
 
 import json
@@ -14,7 +13,6 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import (
-    AnalysisCache,
     Baseline,
     render_sarif,
     run_lint,
@@ -182,118 +180,19 @@ def test_contract_clean_twin_stays_clean():
     assert all(f.path != "repro/core/good_api.py" for f in findings)
 
 
-# ------------------------------------------------------ parallel determinism
-
-
-def test_findings_identical_across_jobs(tmp_path):
-    """The headline guarantee: --jobs N is byte-identical to --jobs 1."""
-    for case in ("taint", "races", "pickle", "contracts"):
-        root = FIXTURES / case / "repro"
-        serial = run_lint(root=root, analyze="deep", jobs=1,
-                          use_baseline=False)
-        parallel = run_lint(root=root, analyze="deep", jobs=2,
-                            use_baseline=False)
-        key = lambda r: [f.to_dict() for f in r.all_findings]
-        assert key(serial) == key(parallel), case
-        assert serial.suppressed == parallel.suppressed, case
-
-
-# ------------------------------------------------------------ incremental
-
-
-INCREMENTAL_TREE = {
-    "core/base.py": """
-        \"\"\"Fixture: carries the finding.\"\"\"
-
-        def f(x=[]):
-            return x
-    """,
-    "core/user.py": """
-        \"\"\"Fixture: imports base, sits in its reverse cone.\"\"\"
-
-        from repro.core.base import f
-
-        def g(v):
-            return f(v)
-    """,
-    "core/other.py": """
-        \"\"\"Fixture: unrelated module outside the cone.\"\"\"
-
-        def h():
-            return 3
-    """,
-}
-
-
-def test_incremental_reanalyzes_only_the_changed_cone(tmp_path):
-    root = make_tree(tmp_path, INCREMENTAL_TREE)
-    cache = tmp_path / "cache.json"
-    kwargs = dict(root=root, rules=["mutable-default-args"],
-                  use_baseline=False, cache_path=cache)
-
-    first = run_lint(**kwargs)
-    assert sorted(first.analyzed) == [
-        "repro/core/base.py", "repro/core/other.py", "repro/core/user.py",
+def test_facade_all_is_drift_checked(tmp_path):
+    """The pinned facade binds every export; an unbound one is flagged."""
+    source = (REPO / "src" / "repro" / "api.py").read_text()
+    assert source.count("\n__all__ = [\n") == 1
+    root = make_tree(tmp_path, {
+        "api.py": source.replace("\n__all__ = [\n",
+                                 '\n__all__ = [\n    "ghost",\n'),
+    })
+    result = run_lint(root=root, rules=["api-contract"], use_baseline=False)
+    assert [f.message for f in result.findings] == [
+        "__all__ exports 'ghost' but the module never binds it "
+        "(export drift)"
     ]
-    assert first.reused == []
-    assert len(first.findings) == 1
-
-    # No edits: everything is served from cache, findings identical.
-    warm = run_lint(**kwargs)
-    assert warm.analyzed == []
-    assert sorted(warm.reused) == sorted(first.analyzed)
-    assert [f.to_dict() for f in warm.findings] == \
-        [f.to_dict() for f in first.findings]
-
-    # Edit base.py: base and its reverse importer re-analyze; other.py
-    # is served from cache.
-    (root / "core" / "base.py").write_text(textwrap.dedent("""
-        \"\"\"Fixture: edited; still carries the finding.\"\"\"
-
-        def f(y=[]):
-            return y
-    """))
-    third = run_lint(**kwargs)
-    assert sorted(third.analyzed) == [
-        "repro/core/base.py", "repro/core/user.py",
-    ]
-    assert third.reused == ["repro/core/other.py"]
-    assert len(third.findings) == 1
-
-
-def test_module_set_change_invalidates_the_whole_cache(tmp_path):
-    root = make_tree(tmp_path, INCREMENTAL_TREE)
-    cache = tmp_path / "cache.json"
-    kwargs = dict(root=root, rules=["mutable-default-args"],
-                  use_baseline=False, cache_path=cache)
-    run_lint(**kwargs)
-    (root / "core" / "new.py").write_text('"""New module."""\n')
-    result = run_lint(**kwargs)
-    assert len(result.analyzed) == 4
-    assert result.reused == []
-
-
-def test_rules_signature_mismatch_degrades_to_cold_cache(tmp_path):
-    root = make_tree(tmp_path, INCREMENTAL_TREE)
-    cache = tmp_path / "cache.json"
-    run_lint(root=root, rules=["mutable-default-args"], use_baseline=False,
-             cache_path=cache)
-    # A different rule set writes a different signature: the cached
-    # entries must not leak across analysis configurations.
-    result = run_lint(root=root, rules=["iteration-order"],
-                      use_baseline=False, cache_path=cache)
-    assert result.reused == []
-    assert len(result.analyzed) == 3
-
-
-def test_cache_file_is_deterministic(tmp_path):
-    root = make_tree(tmp_path, INCREMENTAL_TREE)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run_lint(root=root, rules=["mutable-default-args"], use_baseline=False,
-             cache_path=a)
-    run_lint(root=root, rules=["mutable-default-args"], use_baseline=False,
-             cache_path=b)
-    assert a.read_text() == b.read_text()
 
 
 # --------------------------------------------------------------- suppression
@@ -381,6 +280,46 @@ def test_deep_findings_baseline_and_prune(tmp_path):
     assert pruned.counts == {}
 
 
+def test_baseline_keeps_entries_of_rules_that_did_not_run(tmp_path, capsys):
+    """A run judges only the baseline entries of the rules it ran.
+
+    Basic mode must neither report a deep rule's entry stale nor prune
+    it, and a ``--rules`` update rewrites only that rule's entries.
+    """
+    from repro.cli import main
+    contracts = FIXTURES / "contracts" / "repro" / "core" / "bad_api.py"
+    root = make_tree(tmp_path, {
+        "core/bad_api.py": contracts.read_text(),
+        "core/x.py": """
+            def f(x=[]):
+                return x
+        """,
+    })
+    baseline = tmp_path / "baseline.json"
+    args = ["lint", "--root", str(root), "--baseline", str(baseline)]
+
+    def entries():
+        return json.loads(baseline.read_text())["findings"]
+
+    # An unsupported old file is regenerated, not merged.
+    baseline.write_text('{"version": 1, "findings": {"layering::x": 1}}')
+    assert main(args + ["--analyze", "deep", "--update-baseline"]) == 0
+    grandfathered = entries()
+    assert sorted(key.split("::")[0] for key in grandfathered) == [
+        "api-contract", "mutable-default-args",
+    ]
+    capsys.readouterr()
+
+    assert main(args) == 0
+    assert "stale baseline entry" not in capsys.readouterr().out
+    assert main(args + ["--prune-baseline"]) == 0
+    assert entries() == grandfathered
+    assert main(args + ["--rules", "mutable-default-args",
+                        "--update-baseline"]) == 0
+    assert entries() == grandfathered
+    assert main(args + ["--analyze", "deep"]) == 0
+
+
 # ------------------------------------------------------------ the real repo
 
 
@@ -399,7 +338,7 @@ def test_cli_deep_flags(capsys):
     from repro.cli import main
     root = FIXTURES / "contracts" / "repro"
     args = ["lint", "--root", str(root), "--rules", "api-contract",
-            "--analyze", "deep", "--jobs", "2"]
+            "--analyze", "deep"]
     assert main(args) == 1
     assert "api-contract" in capsys.readouterr().out
 
@@ -433,18 +372,3 @@ def test_cli_prune_baseline(tmp_path, capsys):
     assert main(args + ["--prune-baseline"]) == 0
     assert "1 stale entry pruned" in capsys.readouterr().out
     assert json.loads(baseline.read_text())["findings"] == {}
-
-
-def test_cli_incremental_cache(tmp_path, capsys):
-    from repro.cli import main
-    root = make_tree(tmp_path, INCREMENTAL_TREE)
-    cache = tmp_path / "cache.json"
-    args = ["lint", "--root", str(root), "--rules", "iteration-order",
-            "--cache", str(cache)]
-    assert main(args) == 0
-    capsys.readouterr()
-    assert main(args) == 0
-    assert "3 served from cache" in capsys.readouterr().out
-    payload = json.loads(cache.read_text())
-    assert payload["version"] == 1
-    assert len(payload["modules"]) == 3
