@@ -20,7 +20,7 @@ between — exactly how a bare-metal control loop behaves when it overruns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -155,6 +155,14 @@ def _emit_step_obs(tracer, track: str, step_idx: int, t: float,
                        step=step_idx, latency_us=round(latency_s * 1e6, 3))
 
 
+def _emit_fault_instants(tracer, track: str, events: List[dict]) -> None:
+    """``fault.<kind>`` instants for hook events, in-process or pooled."""
+    for event in events:
+        detail = {k: v for k, v in event.items() if k not in ("kind", "t_s")}
+        tracer.instant(f"fault.{event['kind']}", t_s=event["t_s"],
+                       cat="faults", track=track, **detail)
+
+
 def _emit_mission_obs(tracer, metrics, track: str, mission_name: str,
                       arch_name: str, duration_s: float, completed: bool,
                       log: ComputeLog, fault_hook) -> None:
@@ -167,11 +175,7 @@ def _emit_mission_obs(tracer, metrics, track: str, mission_name: str,
             compute_energy_uj=round(log.energy_j * 1e6, 6),
         )
         if fault_hook is not None:
-            for event in fault_hook.events:
-                detail = {k: v for k, v in event.items()
-                          if k not in ("kind", "t_s")}
-                tracer.instant(f"fault.{event['kind']}", t_s=event["t_s"],
-                               cat="faults", track=track, **detail)
+            _emit_fault_instants(tracer, track, fault_hook.events)
     if metrics.enabled:
         metrics.inc("mission.runs")
         metrics.inc("mission.completed" if completed else "mission.failed")
@@ -205,12 +209,8 @@ class _StepPricer:
         )
         self._memo: dict = {}
 
-    def price(self, counter: OpCounter):
-        """Price the counter's accumulated trace; returns (latency_s, energy_j)."""
-        return self.price_trace(counter.snapshot())
-
     def price_trace(self, trace: OpTrace):
-        """Price one explicit op-trace (used for per-phase attribution)."""
+        """Price one op-trace; returns (latency_s, energy_j)."""
         key = tuple(getattr(trace, kind) for kind in ALL_KINDS)
         priced = self._memo.get(key)
         if priced is None:
@@ -223,7 +223,105 @@ class _StepPricer:
         return priced
 
 
-class FlappingWingRunner:
+class _Runner:
+    """The one compute-gated mission loop both platform runners fly.
+
+    A platform's ``run`` builds its plant, estimator and controller, then
+    hands :meth:`_fly` its control step and its physics step.
+    """
+
+    def __init__(self, arch: ArchSpec, cache: CacheConfig, scalar: ScalarType,
+                 control_rate_hz: float, physics_dt: float, seed: int,
+                 fault_hook: Optional[MissionFaultHook]):
+        self.pricer = _StepPricer(arch, cache, scalar)
+        self.arch = arch
+        self.control_period = 1.0 / control_rate_hz
+        self.physics_dt = physics_dt
+        self.seed = seed
+        self.fault_hook = fault_hook
+
+    def _fly(self, mission, command, control: Callable, advance: Callable,
+             abort_error: float, success_rms: float,
+             settled: Optional[Callable[[], bool]] = None) -> MissionResult:
+        """Fly ``mission``, holding ``command`` between control steps.
+
+        ``control(counter, step, t, traced)`` returns ``(command,
+        estimate_trace or None)``; ``advance(command, t)`` steps the
+        physics to ``t`` and returns the tracking error; ``settled()``,
+        when given, is one more completion condition.
+        """
+        tracer = get_tracer()
+        metrics = get_metrics()
+        traced = tracer.enabled
+        track = _mission_track(tracer, mission.name)
+        log = ComputeLog()
+        hook = self.fault_hook
+        errors = []
+        next_control_t = 0.0
+        step_idx = 0
+        aborted_by: Optional[str] = None
+
+        t = 0.0
+        while t < mission.duration_s:
+            if t >= next_control_t:
+                counter = OpCounter()
+                command, est_trace = control(counter, step_idx, t, traced)
+                latency_s, energy_j = self.pricer.price_trace(counter.snapshot())
+                raw_latency_s = latency_s
+                if hook is not None:
+                    latency_s, energy_j = hook.on_price(
+                        step_idx, t, latency_s, energy_j
+                    )
+                log.record(latency_s, energy_j, self.control_period)
+                if traced:
+                    est_frac = 0.0
+                    if est_trace is not None:
+                        est_latency_s, _ = self.pricer.price_trace(est_trace)
+                        est_frac = (min(est_latency_s / raw_latency_s, 1.0)
+                                    if raw_latency_s > 0 else 0.0)
+                    _emit_step_obs(tracer, track, step_idx, t, latency_s,
+                                   est_frac, energy_j, self.control_period)
+                if metrics.enabled:
+                    metrics.inc("mission.steps")
+                    metrics.observe("mission.step_latency_us", latency_s * 1e6)
+                    metrics.observe("mission.step_energy_uj", energy_j * 1e6)
+                # Compute-limited rate: the next update can't start before
+                # this one's computation has finished.
+                next_control_t = t + max(self.control_period, latency_s)
+                if hook is not None:
+                    aborted_by = hook.abort_reason(step_idx, t)
+                step_idx += 1
+            if aborted_by is not None:
+                break
+            t += self.physics_dt
+            err = advance(command, t)
+            errors.append(err)
+            if err > abort_error:
+                break
+
+        score = score_trajectory(np.array(errors), abort_error, success_rms)
+        is_settled = settled is None or settled()
+        completed = score["completed"] and is_settled and aborted_by is None
+        _emit_mission_obs(tracer, metrics, track, mission.name,
+                          self.arch.name, t, completed, log, hook)
+        return MissionResult(
+            name=mission.name,
+            completed=completed,
+            duration_s=t,
+            path_error_rms_m=score["rms"],
+            path_error_max_m=score["max"],
+            compute_energy_j=log.energy_j,
+            compute_latency_s=log.mean_latency_s,
+            deadline_hit_rate=log.deadline_hit_rate,
+            effective_rate_hz=log.steps / max(t, 1e-9),
+            overruns=log.overruns,
+            worst_latency_s=log.worst_latency_s,
+            aborted_by=aborted_by,
+            fault_events=len(hook.events) if hook is not None else 0,
+        )
+
+
+class FlappingWingRunner(_Runner):
     """Hover / waypoint missions: Mahony attitude + SE(3) geometric control.
 
     Position and velocity come from external tracking (the lab's motion
@@ -245,17 +343,13 @@ class FlappingWingRunner:
         seed: int = 0,
         fault_hook: Optional[MissionFaultHook] = None,
     ):
-        self.pricer = _StepPricer(arch, cache, scalar)
-        self.arch = arch
-        self.control_period = 1.0 / control_rate_hz
-        self.physics_dt = physics_dt
-        self.seed = seed
+        super().__init__(arch, cache, scalar, control_rate_hz, physics_dt,
+                         seed, fault_hook)
         self.kx = kx
         self.kv = kv
         self.kr = kr
         self.kw = kw
         self.scalar = scalar
-        self.fault_hook = fault_hook
 
     def run(self, mission: HoverMission) -> MissionResult:
         """Fly one hover/waypoint mission; returns its :class:`MissionResult`.
@@ -270,97 +364,46 @@ class FlappingWingRunner:
         filt = Mahony(scalar=self.scalar)
         ctrl = GeometricController(mass=body.mass, kx=self.kx, kv=self.kv,
                                    kr=self.kr, kw=self.kw)
-        tracer = get_tracer()
-        metrics = get_metrics()
-        traced = tracer.enabled
-        track = _mission_track(tracer, mission.name)
-        log = ComputeLog()
         hook = self.fault_hook
-        errors = []
         tilts = []
-        thrust, moment = body.mass * 9.81, np.zeros(3)
-        next_control_t = 0.0
-        step_idx = 0
-        aborted_by: Optional[str] = None
 
-        t = 0.0
-        while t < mission.duration_s:
-            if t >= next_control_t:
-                counter = OpCounter()
-                gyro, accel = body.read_imu()
-                if hook is not None:
-                    gyro, accel = hook.on_imu(step_idx, t, gyro, accel)
-                filt.update(gyro, accel, None, self.control_period, counter)
-                est_trace = counter.snapshot() if traced else None
-                r_est = _quat_to_matrix(filt.quaternion())
-                ref = mission.reference(t)
-                cmd = ctrl.compute(
-                    counter,
-                    body.state.pos, body.state.vel, r_est, body.state.omega,
-                    ref, np.zeros(3), np.zeros(3),
-                )
-                thrust = float(np.clip(cmd.thrust, 0.0, 2.5 * body.mass * 9.81))
-                moment = np.clip(cmd.moment, -6e-6, 6e-6)
-                latency_s, energy_j = self.pricer.price(counter)
-                raw_latency_s = latency_s
-                if hook is not None:
-                    latency_s, energy_j = hook.on_price(
-                        step_idx, t, latency_s, energy_j
-                    )
-                log.record(latency_s, energy_j, self.control_period)
-                if traced:
-                    est_latency_s, _ = self.pricer.price_trace(est_trace)
-                    est_frac = (min(est_latency_s / raw_latency_s, 1.0)
-                                if raw_latency_s > 0 else 0.0)
-                    _emit_step_obs(tracer, track, step_idx, t, latency_s,
-                                   est_frac, energy_j, self.control_period)
-                if metrics.enabled:
-                    metrics.inc("mission.steps")
-                    metrics.observe("mission.step_latency_us", latency_s * 1e6)
-                    metrics.observe("mission.step_energy_uj", energy_j * 1e6)
-                # Compute-limited rate: the next update can't start before
-                # this one's computation has finished.
-                next_control_t = t + max(self.control_period, latency_s)
-                if hook is not None:
-                    aborted_by = hook.abort_reason(step_idx, t)
-                step_idx += 1
-            if aborted_by is not None:
-                break
+        def control(counter, step, t, traced):
+            gyro, accel = body.read_imu()
+            if hook is not None:
+                gyro, accel = hook.on_imu(step, t, gyro, accel)
+            filt.update(gyro, accel, None, self.control_period, counter)
+            est_trace = counter.snapshot() if traced else None
+            r_est = _quat_to_matrix(filt.quaternion())
+            ref = mission.reference(t)
+            cmd = ctrl.compute(
+                counter,
+                body.state.pos, body.state.vel, r_est, body.state.omega,
+                ref, np.zeros(3), np.zeros(3),
+            )
+            thrust = float(np.clip(cmd.thrust, 0.0, 2.5 * body.mass * 9.81))
+            moment = np.clip(cmd.moment, -6e-6, 6e-6)
+            return (thrust, moment), est_trace
+
+        def advance(command, t):
+            thrust, moment = command
             body.step(thrust, moment, self.physics_dt)
-            t += self.physics_dt
             err = float(np.linalg.norm(body.state.pos - mission.reference(t)))
-            errors.append(err)
             tilts.append(body.state.tilt_rad)
-            if err > mission.abort_error_m:
-                break
+            return err
 
-        score = score_trajectory(np.array(errors), mission.abort_error_m,
-                                 mission.success_rms_m)
-        # A tumbling body that hovers on average is not a success: the
-        # steady-state attitude must settle.
-        steady_tilt = float(np.mean(tilts[len(tilts) // 2 :])) if tilts else np.inf
-        attitude_ok = steady_tilt <= mission.max_steady_tilt_rad
-        completed = score["completed"] and attitude_ok and aborted_by is None
-        _emit_mission_obs(tracer, metrics, track, mission.name,
-                          self.arch.name, t, completed, log, hook)
-        return MissionResult(
-            name=mission.name,
-            completed=completed,
-            duration_s=t,
-            path_error_rms_m=score["rms"],
-            path_error_max_m=score["max"],
-            compute_energy_j=log.energy_j,
-            compute_latency_s=log.mean_latency_s,
-            deadline_hit_rate=log.deadline_hit_rate,
-            effective_rate_hz=log.steps / max(t, 1e-9),
-            overruns=log.overruns,
-            worst_latency_s=log.worst_latency_s,
-            aborted_by=aborted_by,
-            fault_events=len(hook.events) if hook is not None else 0,
-        )
+        def settled():
+            # A tumbling body that hovers on average is not a success: the
+            # steady-state attitude must settle.
+            steady_tilt = (float(np.mean(tilts[len(tilts) // 2 :]))
+                           if tilts else np.inf)
+            return steady_tilt <= mission.max_steady_tilt_rad
+
+        return self._fly(mission, (body.mass * 9.81, np.zeros(3)), control,
+                         advance, mission.abort_error_m, mission.success_rms_m,
+                         settled)
 
 
-class StriderRunner:
+class StriderRunner(_Runner):
     """Heading-course missions: SMAC yaw control on the water strider."""
 
     def __init__(
@@ -375,14 +418,10 @@ class StriderRunner:
         seed: int = 0,
         fault_hook: Optional[MissionFaultHook] = None,
     ):
-        self.pricer = _StepPricer(arch, cache, scalar)
-        self.arch = arch
-        self.control_period = 1.0 / control_rate_hz
-        self.physics_dt = physics_dt
+        super().__init__(arch, cache, scalar, control_rate_hz, physics_dt,
+                         seed, fault_hook)
         self.surge_force = surge_force
         self.torque_scale = torque_scale
-        self.seed = seed
-        self.fault_hook = fault_hook
 
     def run(self, mission: SteeringCourse) -> MissionResult:
         """Steer one heading course; returns its :class:`MissionResult`.
@@ -394,80 +433,27 @@ class StriderRunner:
         strider = WaterStrider(seed=self.seed)
         strider.reset()
         ctrl = SlidingModeAdaptiveController(lam=10.0, eta=1.5, gamma=0.2)
-        tracer = get_tracer()
-        metrics = get_metrics()
-        traced = tracer.enabled
-        track = _mission_track(tracer, mission.name)
-        log = ComputeLog()
         hook = self.fault_hook
-        errors = []
-        yaw_torque = 0.0
-        next_control_t = 0.0
-        step_idx = 0
-        aborted_by: Optional[str] = None
 
-        t = 0.0
-        while t < mission.duration_s:
-            if t >= next_control_t:
-                counter = OpCounter()
-                heading = strider.read_compass()
-                rate = strider.read_gyro_z()
-                if hook is not None:
-                    heading, rate = hook.on_heading(step_idx, t, heading, rate)
-                ref = mission.reference(t)
-                ref_rate = (mission.reference(t + 1e-3) - ref) / 1e-3
-                err = np.array([heading - ref, 0.0, 0.0])
-                derr = np.array([rate - ref_rate, 0.0, 0.0])
-                cmd = ctrl.compute(counter, t, self.control_period, err, derr)
-                yaw_torque = float(np.clip(
-                    cmd.u[0] * self.torque_scale, -3e-7, 3e-7
-                ))
-                latency_s, energy_j = self.pricer.price(counter)
-                if hook is not None:
-                    latency_s, energy_j = hook.on_price(
-                        step_idx, t, latency_s, energy_j
-                    )
-                log.record(latency_s, energy_j, self.control_period)
-                if traced:
-                    _emit_step_obs(tracer, track, step_idx, t, latency_s,
-                                   0.0, energy_j, self.control_period)
-                if metrics.enabled:
-                    metrics.inc("mission.steps")
-                    metrics.observe("mission.step_latency_us", latency_s * 1e6)
-                    metrics.observe("mission.step_energy_uj", energy_j * 1e6)
-                next_control_t = t + max(self.control_period, latency_s)
-                if hook is not None:
-                    aborted_by = hook.abort_reason(step_idx, t)
-                step_idx += 1
-            if aborted_by is not None:
-                break
+        def control(counter, step, t, traced):
+            heading = strider.read_compass()
+            rate = strider.read_gyro_z()
+            if hook is not None:
+                heading, rate = hook.on_heading(step, t, heading, rate)
+            ref = mission.reference(t)
+            ref_rate = (mission.reference(t + 1e-3) - ref) / 1e-3
+            err = np.array([heading - ref, 0.0, 0.0])
+            derr = np.array([rate - ref_rate, 0.0, 0.0])
+            cmd = ctrl.compute(counter, t, self.control_period, err, derr)
+            return float(np.clip(cmd.u[0] * self.torque_scale,
+                                 -3e-7, 3e-7)), None
+
+        def advance(yaw_torque, t):
             strider.step(self.surge_force, yaw_torque, self.physics_dt)
-            t += self.physics_dt
-            err_now = abs(strider.state.heading - mission.reference(t))
-            errors.append(err_now)
-            if err_now > mission.abort_error_rad:
-                break
+            return abs(strider.state.heading - mission.reference(t))
 
-        score = score_trajectory(np.array(errors), mission.abort_error_rad,
-                                 mission.success_rms_rad)
-        completed = score["completed"] and aborted_by is None
-        _emit_mission_obs(tracer, metrics, track, mission.name,
-                          self.arch.name, t, completed, log, hook)
-        return MissionResult(
-            name=mission.name,
-            completed=completed,
-            duration_s=t,
-            path_error_rms_m=score["rms"],
-            path_error_max_m=score["max"],
-            compute_energy_j=log.energy_j,
-            compute_latency_s=log.mean_latency_s,
-            deadline_hit_rate=log.deadline_hit_rate,
-            effective_rate_hz=log.steps / max(t, 1e-9),
-            overruns=log.overruns,
-            worst_latency_s=log.worst_latency_s,
-            aborted_by=aborted_by,
-            fault_events=len(hook.events) if hook is not None else 0,
-        )
+        return self._fly(mission, 0.0, control, advance,
+                         mission.abort_error_rad, mission.success_rms_rad)
 
 
 #: Runner-kind name -> runner class (see ``MissionEntry.runner``).

@@ -96,8 +96,8 @@ class FlappingWingBody:
             self.state.rot = _expm_so3(axis * tilt_rad)
         return self.state.copy()
 
-    def step(self, thrust: float, moment: np.ndarray, dt: float) -> RigidBodyState:
-        """Advance the body by one control period under (thrust, moment)."""
+    def step(self, thrust: float, moment: np.ndarray, dt: float) -> None:
+        """Advance the body by one physics step ``dt`` under (thrust, moment)."""
         s = self.state
         # Stroke-synchronous lateral disturbance plus broadband buffeting.
         phase = 2 * np.pi * self.stroke_freq * self.t
@@ -124,7 +124,6 @@ class FlappingWingBody:
         s.omega = s.omega + (self.j_inv @ torque) * dt
         s.rot = s.rot @ _expm_so3(s.omega * dt)
         self.t += dt
-        return s.copy()
 
     # -- onboard-style sensor readouts ------------------------------------
 
@@ -186,7 +185,7 @@ class WaterStrider:
         self.t = 0.0
         return self.state.copy()
 
-    def step(self, surge_force: float, yaw_torque: float, dt: float) -> StriderState:
+    def step(self, surge_force: float, yaw_torque: float, dt: float) -> None:
         s = self.state
         # Surface ripple disturbance.
         ripple = self._rng.normal(0.0, 0.05e-3)
@@ -198,7 +197,6 @@ class WaterStrider:
         s.x += s.surge * np.cos(s.heading) * dt
         s.y += s.surge * np.sin(s.heading) * dt
         self.t += dt
-        return s.copy()
 
     def read_compass(self, noise: float = 0.02) -> float:
         return float(self.state.heading + self._rng.normal(0.0, noise))

@@ -35,7 +35,7 @@ from repro.closedloop import (
     mission_record,
 )
 from repro.closedloop.missions import RECORD_COLUMNS
-from repro.closedloop.runner import RUNNER_CLASSES
+from repro.closedloop.runner import RUNNER_CLASSES, _emit_fault_instants
 from repro.core.config import HarnessConfig
 from repro.faults.base import FaultModel, check_severity, get_fault
 from repro.mcu.arch import ArchSpec, get_arch
@@ -128,12 +128,7 @@ def run_mission_jobs(
                     completed=bool(result.completed),
                     overruns=int(result.overruns),
                 )
-                for event in events:
-                    detail = {k: v for k, v in event.items()
-                              if k not in ("kind", "t_s")}
-                    tracer.instant(f"fault.{event['kind']}",
-                                   t_s=event["t_s"], cat="faults",
-                                   track=job.track, **detail)
+                _emit_fault_instants(tracer, job.track, events)
     else:
         outcomes = []
         with metrics.suspended():

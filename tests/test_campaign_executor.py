@@ -5,6 +5,9 @@ hand them to one executor, so their guarantees are checked side by side:
 
 * raw campaign outputs are pinned by digest, so a refactor of the
   executor cannot move a single byte of either kind's records;
+* so is the observability stream of single mission runs (result,
+  sim-time trace events, metrics), so a refactor of the mission loop
+  cannot move a span, an instant or a metric either;
 * a campaign of either kind killed mid-solve and rerun over the same
   trace-cache directory re-solves only what had not finished and gives
   the same report as an uninterrupted run;
@@ -15,13 +18,20 @@ hand them to one executor, so their guarantees are checked side by side:
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 import repro.obs as obs
-from repro.faults import FaultCampaignSpec, build_report, run_campaign
+from repro.closedloop import (
+    FlappingWingRunner,
+    HoverMission,
+    SteeringCourse,
+    StriderRunner,
+)
+from repro.faults import FaultCampaignSpec, build_report, get_fault, run_campaign
 from repro.faults import save_report as save_resilience_report
+from repro.mcu.arch import get_arch
 from repro.scenarios import (
     ScenarioSet,
     ScenarioSpec,
@@ -59,6 +69,43 @@ def test_scenario_report_matches_pinned_digest(tmp_path):
     path = save_report(report, tmp_path / "report.json")
     assert _sha256(path.read_bytes()) == (
         "6d0cbcaafc5b75bad9771f017a0406c9f5a58e59ba2b09f9e48dac221f2dddcc")
+
+
+def _mission_stream(runner, mission) -> dict:
+    """One traced run: its result, sim-time trace events and metrics."""
+    tracer, metrics = obs.observe()
+    try:
+        result = runner.run(mission)
+    finally:
+        obs.unobserve()
+    events = [e for e in obs.to_chrome_trace(tracer)["traceEvents"]
+              if e["ph"] != "M"]
+    return {"result": asdict(result), "events": events,
+            "metrics": metrics.as_dict()}
+
+
+def test_mission_observability_stream_matches_pinned_digest():
+    hover = HoverMission(duration_s=0.2)
+    steer = SteeringCourse(duration_s=1.0)
+    brownout = get_fault("brownout").mission_hook(
+        1.0, 4, hover.duration_s, 1.0 / 2000.0)
+    dropout = get_fault("imu-dropout").mission_hook(
+        0.8, 5, steer.duration_s, 1.0 / 200.0)
+    runs = [
+        # Clean; then overrun instants; then on_price, abort_reason and
+        # fault instants; then on_heading on the strider stack.
+        (FlappingWingRunner(arch=get_arch("m33")), hover),
+        (FlappingWingRunner(arch=get_arch("m0plus")), hover),
+        (FlappingWingRunner(arch=get_arch("m33"), fault_hook=brownout), hover),
+        (StriderRunner(arch=get_arch("m33"), fault_hook=dropout), steer),
+    ]
+    streams = [_mission_stream(runner, mission) for runner, mission in runs]
+    assert any(e["name"] == "mission.overrun" for e in streams[1]["events"])
+    assert streams[2]["result"]["aborted_by"] is not None
+    assert streams[3]["result"]["fault_events"] > 0
+    raw = json.dumps(streams, sort_keys=True)
+    assert _sha256(raw.encode()) == (
+        "7423cd6c27d6fca2e1b0a26010e807e87be78b62f3c7fa73fac337951830a17c")
 
 
 # ------------------------------------------------ kill and rerun over a cache

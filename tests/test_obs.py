@@ -9,7 +9,8 @@ Covers the contract the layer makes with the rest of the suite:
   event types,
 * metric aggregation is identical for ``--jobs 1`` and ``--jobs 4``,
 * enabling observation never changes results (sweep and campaign output
-  is byte-identical with tracing on),
+  is byte-identical with tracing on, and so are mission results drawn
+  over both runners, cores, rates, seeds and faults),
 * mission traces are deterministic (byte-identical across runs),
 * the ``repro trace`` / ``--trace`` / ``--metrics-out`` CLI surface.
 """
@@ -17,8 +18,11 @@ Covers the contract the layer makes with the rest of the suite:
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.closedloop import HoverMission, SteeringCourse
 from repro.core.config import HarnessConfig
 from repro.core.experiment import SweepSpec
 from repro.engine import EngineOptions, run_sweep_engine
@@ -38,6 +42,13 @@ def small_spec():
         config=FAST,
         overrides=dict(OVERRIDES),
     )
+
+
+#: Short missions by registered name, for drawn runs of either runner.
+_SHORT_MISSIONS = {
+    "hover": lambda: HoverMission(duration_s=0.05),
+    "steer": lambda: SteeringCourse(duration_s=0.6),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -279,14 +290,48 @@ class TestDeterminism:
             obs.unobserve()
         assert blobs[0] == blobs[1]
 
-    def test_mission_result_identical_with_tracing_on(self):
-        from repro.closedloop import StriderRunner, SteeringCourse
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_SHORT_MISSIONS)),
+        arch=st.sampled_from(["m0plus", "m4", "m33", "m7", "rv32imafc"]),
+        rate_scale=st.floats(0.25, 2.0),
+        seed=st.integers(0, 2**16),
+        fault=st.sampled_from([None, "brownout", "imu-dropout",
+                               "overrun-storm"]),
+        severity=st.floats(0.1, 1.0),
+    )
+    def test_mission_result_identical_with_tracing_on(
+        self, kind, arch, rate_scale, seed, fault, severity
+    ):
+        from repro.closedloop import mission_entry
+        from repro.closedloop.runner import RUNNER_CLASSES
+        from repro.faults import get_fault
         from repro.mcu.arch import get_arch
 
-        plain = StriderRunner(arch=get_arch("m33")).run(SteeringCourse())
+        mission = _SHORT_MISSIONS[kind]()
+        entry = mission_entry(kind)
+        rate = entry.control_rate_hz * rate_scale
+
+        def runner():
+            hook = None
+            if fault is not None:
+                hook = get_fault(fault).mission_hook(
+                    severity, seed, mission.duration_s, 1.0 / rate)
+            return RUNNER_CLASSES[entry.runner](
+                arch=get_arch(arch), control_rate_hz=rate, seed=seed,
+                fault_hook=hook)
+
+        plain_runner = runner()
+        plain = plain_runner.run(mission)
         obs.observe()
-        traced = StriderRunner(arch=get_arch("m33")).run(SteeringCourse())
+        try:
+            traced = runner().run(mission)
+        finally:
+            obs.unobserve()
         assert traced == plain
+        if fault is None:
+            # Per-mission state lives in run(): a second flight is the same.
+            assert plain_runner.run(mission) == plain
 
 
 class TestCli:
