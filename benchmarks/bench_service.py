@@ -1,23 +1,23 @@
-"""Service-tier bench: shard invariance, latency ladder, tiers, overload.
+"""Service-tier bench: spill invariance, latency ladder, tiers, overload.
 
 Seeds ``BENCH_service.json`` at the repo root with four figures for the
-sharded, admission-controlled query service (see ``docs/service.md``):
+admission-controlled query service (see ``docs/service.md``):
 
 * **identity** — the headline invariant: a 64-query characterize burst
   answered through a :class:`repro.api.ShardPool` must be byte-identical
-  to the serial single-broker reference at 1, 2, and 4 shards, with the
-  L2 disk spill enabled and disabled.  Any diff is a hard failure.
+  to the serial broker reference with the L2 disk spill enabled and
+  disabled.  Any diff is a hard failure.
 * **latency** — p50/p99 request latency and aggregate QPS measured over
   TCP with 1, 8, and 64 concurrent clients (``--quick``: 1 and 8)
-  against a warm 4-shard pool, so the figure isolates service overhead
-  (framing, event loop, shard routing, L1 hits) rather than solve time.
+  against a warm pool, so the figure isolates service overhead
+  (framing, event loop, admission, L1 hits) rather than solve time.
 * **tiers** — a capacity-2 L1 in front of a disk spill, swept with 8
   distinct cells twice: round two must be served from L2 (nonzero L2
   hit and promotion counts prove the eviction→spill→promote path).
-* **overload** — a one-slot shard pinned mid-batch while probes arrive
+* **overload** — a one-slot pool pinned mid-batch while probes arrive
   over the wire: every probe must shed with a well-formed structured
   ``service-overloaded`` record (positive ``retry_after``), and the
-  shard must serve again once the slot frees.
+  pool must serve again once the slot frees.
 
 Byte-identity and shed well-formedness are asserted on every run, so
 the bench doubles as an end-to-end smoke test.  CI runs
@@ -89,7 +89,7 @@ def _percentile(values, q: float) -> float:
 
 
 def _identity(spill_root: Path) -> dict:
-    """64-query burst vs the serial broker at every topology."""
+    """64-query burst vs the serial broker at both spill states."""
     cells = _cells()
     burst = cells * BURST_REPEATS
 
@@ -99,33 +99,27 @@ def _identity(spill_root: Path) -> dict:
         ]
 
     diffs = 0
-    topologies = []
-    for n_shards in (1, 2, 4):
-        for spill in (False, True):
-            spill_dir = (
-                spill_root / f"spill-{n_shards}" if spill else None
-            )
-            # capacity < distinct cells so the spill topologies really
-            # evict and re-load answers through L2 mid-burst.
-            with ShardPool(
-                config=CONFIG,
-                overrides=OVERRIDES,
-                n_shards=n_shards,
-                capacity=4,
-                spill_dir=spill_dir,
-            ) as pool:
-                answers = pool.ask_many(burst, timeout=600)
-            diffs += sum(
-                1
-                for i, payload in enumerate(answers)
-                if _rendered(payload) != reference[i % len(cells)]
-            )
-            topologies.append({"n_shards": n_shards, "spill": spill})
+    spill_states = [False, True]
+    for spill in spill_states:
+        # capacity < distinct cells so the spill run really evicts and
+        # re-loads answers through L2 mid-burst.
+        with ShardPool(
+            config=CONFIG,
+            overrides=OVERRIDES,
+            capacity=4,
+            spill_dir=spill_root / "spill" if spill else None,
+        ) as pool:
+            answers = pool.ask_many(burst, timeout=600)
+        diffs += sum(
+            1
+            for i, payload in enumerate(answers)
+            if _rendered(payload) != reference[i % len(cells)]
+        )
 
     return {
         "burst_queries": len(burst),
         "distinct_cells": len(cells),
-        "topologies": topologies,
+        "spill_states": spill_states,
         "byte_diffs": diffs,
         "byte_identical": diffs == 0,
     }
@@ -147,9 +141,7 @@ def _latency(quick: bool) -> dict:
     per_client = 25 if quick else 40
     cells = _cells()
 
-    pool = ShardPool(
-        config=CONFIG, overrides=OVERRIDES, n_shards=4, max_inflight=256
-    )
+    pool = ShardPool(config=CONFIG, overrides=OVERRIDES, max_inflight=256)
     rungs = []
     try:
         with ServiceServer(pool) as server:
@@ -199,7 +191,6 @@ def _tiers(spill_root: Path) -> dict:
     with ShardPool(
         config=CONFIG,
         overrides=OVERRIDES,
-        n_shards=1,
         capacity=2,
         spill_dir=spill_root / "tiers",
     ) as pool:
@@ -221,30 +212,27 @@ def _tiers(spill_root: Path) -> dict:
 
 
 def _hold_dispatch(pool):
-    """Pin the lone shard's dispatcher behind an event; returns the gate.
+    """Pin the pool's dispatcher behind an event; returns the gate.
 
     The bench-only overload seam: CI needs deterministic saturation, and
     sizing a solve against wall clock is not deterministic.  Holding the
     batch dispatcher keeps the admitted query in flight for exactly as
     long as the probes need.
     """
-    broker = pool._shards[0]
     gate = threading.Event()
-    original = broker._run_batch
+    original = pool._run_batch
 
     def held(batch):
         gate.wait(60)
         original(batch)
 
-    broker._run_batch = held
+    pool._run_batch = held
     return gate
 
 
 def _overload() -> dict:
-    """Probe a saturated one-slot shard over TCP; audit the shed records."""
-    pool = ShardPool(
-        config=CONFIG, overrides=OVERRIDES, n_shards=1, max_inflight=1
-    )
+    """Probe a saturated one-slot pool over TCP; audit the shed records."""
+    pool = ShardPool(config=CONFIG, overrides=OVERRIDES, max_inflight=1)
     gate = _hold_dispatch(pool)
     cells = _cells()
     try:
@@ -256,7 +244,7 @@ def _overload() -> dict:
             ]
             gate.set()
             pool.result(occupier, timeout=600)
-            # The slot was released on delivery: the shard serves again.
+            # The slot was released on delivery: the pool serves again.
             recovered = client.ask(_wire(cells[1]))["kind"] == "characterize"
 
         shed = [r for r in responses if not r.get("ok")]
@@ -314,7 +302,7 @@ def _check(baseline: dict) -> None:
     if overload["shed"] < 1 or not overload["records_well_formed"]:
         raise AssertionError(f"malformed or missing shed records: {overload}")
     if not overload["recovered_after_release"]:
-        raise AssertionError("shard did not recover after slot release")
+        raise AssertionError("pool did not recover after slot release")
 
 
 def test_service_bench(benchmark, save_artifact):

@@ -314,7 +314,7 @@ def get_arch(name: str):
 
 def query(
     request: Union[dict, CharacterizeQuery, MissionQuery, CampaignQuery],
-    broker: Optional[Union[ServiceBroker, ShardPool]] = None,
+    broker: Optional[ServiceBroker] = None,
     *,
     options: Optional[QueryOptions] = None,
 ) -> dict:
@@ -322,11 +322,11 @@ def query(
 
     ``request`` is a query dataclass or a wire-style dict
     (``{"op": "characterize", "kernel": ..., ...}``).  With ``broker``
-    (a :class:`ServiceBroker` or :class:`ShardPool`) the query goes
-    through that broker's cache and coalescing; without one a transient
-    broker answers it and shuts down — convenient, but callers with
-    query volume should hold a broker (or run ``repro serve``) to
-    actually reuse the cache.
+    (a :class:`ServiceBroker`, or its subclass :class:`ShardPool`) the
+    query goes through that broker's cache and coalescing; without one
+    a transient broker answers it and shuts down — convenient, but
+    callers with query volume should hold a broker (or run ``repro
+    serve``) to actually reuse the cache.
 
     ``options`` attaches a :class:`QueryOptions` (priority, timeout,
     cache policy).

@@ -316,7 +316,6 @@ def _cmd_serve(args) -> int:
     pool = ShardPool(
         config=HarnessConfig(reps=args.reps, warmup_reps=args.warmup),
         engine_options=EngineOptions(jobs=args.jobs, cache_dir=args.cache_dir),
-        n_shards=args.shards,
         capacity=args.capacity,
         spill_dir=args.spill_dir,
         max_inflight=args.max_inflight,
@@ -326,8 +325,7 @@ def _cmd_serve(args) -> int:
     host, port = server.address
     try:
         with server:
-            print(f"serving   : {host}:{port} (JSONL over TCP, "
-                  f"{args.shards} shard(s))")
+            print(f"serving   : {host}:{port} (JSONL over TCP)")
             print(f"try       : repro query characterize --kernel mahony "
                   f"--port {port}")
             if args.duration is not None:
@@ -589,13 +587,14 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--capacity", type=int, default=1024,
                    help="in-memory answer-cache entries (LRU beyond)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="broker shards partitioned by content address")
+    p.add_argument("--shards", type=int, default=1, choices=(1,),
+                   help="broker count; the service runs one broker, "
+                        "so only 1 is accepted")
     p.add_argument("--spill-dir", default=None,
                    help="L2 directory: answers evicted from the "
                         "in-memory LRU spill here instead of vanishing")
     p.add_argument("--max-inflight", type=int, default=64,
-                   help="per-shard admitted-query bound; beyond it, "
+                   help="admitted-but-unfinished query bound; beyond it, "
                         "queries shed with a retry_after hint")
     p.add_argument("--duration", type=float, default=None,
                    help="serve for N seconds then exit (default: forever)")

@@ -139,8 +139,9 @@ class MetricsRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # Recording is read-modify-write; the service's shard dispatchers
-        # increment one shared registry from N threads, so updates lock.
+        # Recording is read-modify-write; the service's dispatcher thread
+        # and its event-loop thread increment one shared registry, so
+        # updates lock.
         self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------------

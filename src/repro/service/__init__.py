@@ -22,12 +22,12 @@ them behind one broker:
   solve) and batches distinct characterize cells into **one** engine
   cell-plan, so a burst of queries costs one solve per distinct kernel
   configuration.
-* **Shard pool** (:mod:`repro.service.shard`) — N brokers partitioned
-  by the sha256 content address (``int(key[:8], 16) % n_shards``), each
-  fronted by admission control (:mod:`repro.service.admission`):
-  bounded inflight work per shard, ``interactive``/``batch``
-  priorities, and typed :class:`ServiceOverloaded` shedding with a
-  ``retry_after`` hint instead of unbounded blocking.
+* **Served broker** (:mod:`repro.service.shard`) — :class:`ShardPool`,
+  the one broker ``repro serve`` runs, behind an admission gate
+  (:mod:`repro.service.admission`): bounded inflight work,
+  ``interactive``/``batch`` priorities, and typed
+  :class:`ServiceOverloaded` shedding with a ``retry_after`` hint
+  instead of blocking.
 * **Query options & errors** (:mod:`repro.service.queries`,
   :mod:`repro.service.errors`) — a frozen :class:`QueryOptions`
   (priority, fidelity placeholder, timeout, cache policy) on every
@@ -39,8 +39,8 @@ them behind one broker:
   retry-with-backoff on shed).
 
 Determinism contract: answers are byte-identical to direct engine /
-closed-loop / campaign runs at any concurrency level, shard count, and
-spill state — the service only routes and caches; it never perturbs
+closed-loop / campaign runs at any concurrency level, spill state, and
+cache policy — the service only routes and caches; it never perturbs
 what it runs (asserted in ``tests/test_service.py`` and
 ``tests/test_service_tiers.py``).
 """

@@ -3,11 +3,11 @@
 The original broker's only overload behavior was to block submitters on
 a full queue — fine for library callers, hostile to a network service
 (a burst of batch traffic could park every interactive client behind
-it, unboundedly).  Each shard now fronts its queue with an
+it, unboundedly).  The served broker
+(:class:`~repro.service.shard.ShardPool`) fronts its queue with one
 :class:`AdmissionController`:
 
-* at most ``max_inflight`` queries may be admitted-but-unfinished per
-  shard;
+* at most ``max_inflight`` queries may be admitted-but-unfinished;
 * ``batch``-priority work is capped at a *fraction* of that bound, so
   background sweeps can never starve interactive asks;
 * a rejected submit fails fast with a typed
@@ -31,7 +31,7 @@ __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Per-shard inflight bound with a reserved interactive share.
+    """An inflight bound with a reserved interactive share.
 
     Args:
         max_inflight: Total admitted-but-unfinished queries allowed.
@@ -57,8 +57,8 @@ class AdmissionController:
         """Admit one query or shed it with :class:`ServiceOverloaded`.
 
         The ``retry_after`` hint scales with how far over its limit the
-        shard is — deterministic, so identical admission states produce
-        identical shed responses.
+        service is — deterministic, so identical admission states
+        produce identical shed responses.
         """
         with self._lock:
             limit = (
@@ -73,7 +73,7 @@ class AdmissionController:
                     0.05 * (1.0 + self._inflight / self.max_inflight), 3
                 )
                 raise ServiceOverloaded(
-                    f"shard at capacity ({self._inflight}/"
+                    f"service at capacity ({self._inflight}/"
                     f"{self.max_inflight} inflight, priority={priority}); "
                     f"retry after {retry_after}s",
                     retry_after=retry_after,

@@ -1,12 +1,14 @@
-"""The asyncio JSONL front-end over a broker or shard pool.
+"""The asyncio JSONL front-end over the served broker.
 
 The original server spent one OS thread per connection just to block on
 ``broker.ask``.  This front-end replaces that with a single event loop:
-connections are coroutines, a query's wait for its ticket is an awaited
-future bridged from the dispatcher thread's done-callback, and slow
-clients cost a task, not a thread.  Framing is unchanged — one JSON
-object per line in both directions — so every existing client keeps
-working.
+connections are coroutines, a query is submitted inline on the loop
+(the served :class:`~repro.service.shard.ShardPool` sheds rather than
+blocks, so submit returns at once), its wait for the ticket is an
+awaited future bridged from the dispatcher thread's done-callback, and
+slow clients cost a task, not a thread.  Framing is unchanged — one
+JSON object per line in both directions — so every existing client
+keeps working.
 
 Envelope versioning (see ``docs/service.md``):
 
@@ -56,13 +58,11 @@ def shape_error(version: int, exc: BaseException) -> dict:
 
 
 class AsyncServiceServer:
-    """Serve a broker or shard pool over asyncio JSONL-over-TCP.
+    """Serve a :class:`~repro.service.shard.ShardPool` over asyncio JSONL.
 
     Args:
-        target: The answering :class:`~repro.service.broker.ServiceBroker`
-            or :class:`~repro.service.shard.ShardPool` — anything with
-            ``submit`` / ``stats`` and tickets exposing
-            ``add_done_callback``.
+        target: The answering :class:`~repro.service.shard.ShardPool`;
+            its ``submit`` runs on the event loop, so it must not block.
         host: Bind address; keep the localhost default unless you mean
             to expose the service.
         port: Bind port; 0 picks a free ephemeral port (read it back
@@ -163,16 +163,14 @@ class AsyncServiceServer:
     async def _ask(self, request: dict) -> dict:
         """Parse, submit, and await one query without blocking the loop.
 
-        Parsing/validation runs inline (cheap, pure).  Submission goes
-        through the default executor because a plain broker's bounded
-        queue may block for backpressure; a pool never blocks (it sheds
-        instead) but takes the same path for uniformity.  The ticket's
-        answer is bridged to an awaitable future by its done-callback,
-        honoring the query's own options timeout.
+        Parsing, validation and submission run inline: the pool sheds
+        instead of blocking, so ``submit`` returns at once.  The
+        ticket's answer is bridged to an awaitable future by its
+        done-callback, honoring the query's own options timeout.
         """
         query = parse_request(request)
+        ticket = self.target.submit(query)
         loop = asyncio.get_running_loop()
-        ticket = await loop.run_in_executor(None, self.target.submit, query)
         future: "asyncio.Future" = loop.create_future()
 
         def _deliver(done_ticket) -> None:

@@ -5,7 +5,9 @@ Concurrency model — one bounded queue, one dispatcher:
 * Client threads :meth:`ServiceBroker.submit` tickets onto a bounded
   ``queue.Queue``; a full queue blocks the caller, which **is** the
   backpressure (the broker never buffers unboundedly ahead of the
-  engine).
+  engine).  The served broker, :class:`~repro.service.shard.ShardPool`,
+  is this class with an admission gate in front of the queue: it sheds
+  with a typed error instead of blocking.
 * A single dispatcher thread drains whatever is queued into one *batch*,
   deduplicates it by content-address key (duplicates **coalesce**: they
   wait on the first ticket's answer and count as cache hits), answers
@@ -81,7 +83,7 @@ class _Ticket:
 
         Runs immediately when the ticket is already done; otherwise at
         delivery time on the dispatcher thread.  The asyncio front-end
-        and the shard pool's admission release both hang off this hook.
+        and the pool's admission release both hang off this hook.
         """
         if self.done.is_set():
             fn(self)
@@ -125,9 +127,8 @@ class ServiceBroker:
             knob; submitters block while it is full.
         campaign_jobs: Process-pool width handed to campaign queries.
         cache: Answer cache to use instead of building a private
-            :class:`ResultCache` — a :class:`ShardPool` passes one
-            shared (possibly tiered) cache to every shard's broker.
-        name: Dispatcher-thread suffix, for debuggability in pools.
+            :class:`ResultCache` — a :class:`ShardPool` passes its own,
+            tiered to a disk spill when it has one.
     """
 
     def __init__(
@@ -139,7 +140,6 @@ class ServiceBroker:
         max_pending: int = 256,
         campaign_jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        name: str = "",
     ):
         self.config = (config if config is not None else HarnessConfig()).validated()
         self.overrides = dict(overrides or {})
@@ -154,7 +154,7 @@ class ServiceBroker:
         self._batches = 0
         self._thread = threading.Thread(
             target=self._serve,
-            name=f"repro-service-dispatcher{name}",
+            name="repro-service-dispatcher",
             daemon=True,
         )
         self._thread.start()
@@ -180,9 +180,8 @@ class ServiceBroker:
     ) -> _Ticket:
         """Enqueue a query whose validation and key are already done.
 
-        The shard-pool path: the pool validates once, computes the
-        content address once (it needs the key to route), admits the
-        query, then hands it straight to the owning shard's queue.
+        The :class:`ShardPool` path: the pool validates and computes the
+        content address itself, admits the query, then enqueues it here.
         """
         if self._closed.is_set():
             raise BrokerClosed("broker is closed")

@@ -18,11 +18,11 @@ The service read path is three tiers deep (see ``docs/service.md``):
   of *solve profiles* (the expensive kernel compute); an L1+L2 miss
   that still hits L3 re-prices a cached solve instead of re-solving.
 
-Thread-safe: client threads read stats while dispatcher threads insert
-(a shard pool shares one tiered cache across shards), so every access
-takes the internal lock.  Payloads are treated as immutable once
-inserted — the broker hands the same dict to every waiter, which is
-safe precisely because nothing mutates answers.
+Thread-safe: client threads and the event loop read stats while the
+dispatcher thread inserts, so every access takes the internal lock.
+Payloads are treated as immutable once inserted — the broker hands the
+same dict to every waiter, which is safe precisely because nothing
+mutates answers.
 """
 
 from __future__ import annotations
@@ -203,9 +203,9 @@ class TieredResultCache(ResultCache):
     Evictions from the bounded in-memory tier spill to ``spill_dir``
     instead of vanishing; an L1 miss re-checks the spill and, on a hit,
     promotes the answer back into L1 (possibly spilling something else
-    — the tiers stay complementary).  Shared by every shard of a
-    :class:`~repro.service.shard.ShardPool`, so an answer evicted under
-    one shard's pressure is still one file read away for all of them.
+    — the tiers stay complementary).  A
+    :class:`~repro.service.shard.ShardPool` given a ``spill_dir``
+    answers through one.
 
     Args:
         capacity: L1 entries retained in memory.

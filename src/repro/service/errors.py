@@ -4,7 +4,7 @@ The original broker surfaced every failure as whatever exception the
 engine happened to raise, and the server flattened them all into one
 ``"error": "<TypeName>: <message>"`` string.  That works for a human at
 a terminal but not for a client that must distinguish "your query is
-malformed, don't retry" from "the shard queue is full, retry in 50 ms".
+malformed, don't retry" from "the service is full, retry in 50 ms".
 
 This module defines the service's error vocabulary:
 
@@ -14,10 +14,11 @@ This module defines the service's error vocabulary:
   kernel/arch/mission/fault/cache label, bad options).  Not retryable.
 * :class:`ServiceOverloaded` — admission control shed the query; carries
   ``retry_after`` seconds.  Retryable after backing off.
-* :class:`ShardUnavailable` — the shard that owns the query's content
-  address is closed or dead.  Retryable once the pool is rebuilt.
-* :class:`ServiceTimeout` — the client-side deadline for an answer
-  passed.  The solve may still complete server-side and land in cache.
+* :class:`ShardUnavailable` — the service is closed.  Retryable once
+  it is restarted.
+* :class:`ServiceTimeout` — the query's deadline for an answer passed,
+  on the server's await or the client's socket.  The solve may still
+  complete server-side and land in cache.
 
 :func:`error_record` / :func:`error_from_record` translate between
 exceptions and the structured JSONL error records of wire envelope v2
@@ -71,7 +72,7 @@ class QueryValidationError(ServiceError, ValueError):
 class ServiceOverloaded(ServiceError):
     """Admission control shed the query instead of queueing it.
 
-    The replacement for unbounded blocking: when a shard's inflight
+    The replacement for unbounded blocking: when the service's inflight
     bound is reached, the submit fails fast with this error and a
     deterministic ``retry_after`` hint instead of parking the caller
     on a full queue forever.
@@ -84,11 +85,12 @@ class ServiceOverloaded(ServiceError):
 
 
 class ShardUnavailable(ServiceError):
-    """The shard owning the query's content address cannot answer.
+    """The service is closed and cannot answer.
 
-    Raised when a pool routes to a broker whose dispatcher has shut
-    down — distinct from :class:`ServiceOverloaded` because waiting
-    does not help until the pool is rebuilt.
+    Raised when a query reaches a pool whose dispatcher has shut down —
+    distinct from :class:`ServiceOverloaded` because waiting does not
+    help until the service is restarted.  The name and the wire code
+    keep their sharded-era spelling for compatibility.
     """
 
     code = "shard-unavailable"

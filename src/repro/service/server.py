@@ -13,9 +13,9 @@ Wire protocol — one JSON object per line, both directions:
 
 The server is an :class:`~repro.service.aio.AsyncServiceServer` hosted
 in one background thread: connections are event-loop coroutines instead
-of one blocking thread each, while coalescing, sharding, admission, and
-backpressure all live in the broker / shard pool behind it — many
-simultaneous connections asking the same question still cost one solve.
+of one blocking thread each, while coalescing and admission live in the
+:class:`~repro.service.shard.ShardPool` behind it — many simultaneous
+connections asking the same question still cost one solve.
 
 ``repro serve`` runs :class:`ServiceServer`; ``repro query`` uses
 :class:`ServiceClient` (or any tool that can speak line-delimited JSON
@@ -50,7 +50,7 @@ DEFAULT_PORT = 7453
 
 
 class ServiceServer:
-    """Serve a broker or shard pool over line-delimited JSON on TCP.
+    """Serve a :class:`~repro.service.shard.ShardPool` over JSONL on TCP.
 
     A synchronous shell around :class:`AsyncServiceServer`: the
     constructor binds the socket eagerly (so :attr:`address` is valid
@@ -60,8 +60,8 @@ class ServiceServer:
     thread-per-connection original.
 
     Args:
-        broker: The answering :class:`~repro.service.broker.ServiceBroker`
-            or :class:`~repro.service.shard.ShardPool`.
+        broker: The answering :class:`~repro.service.shard.ShardPool`;
+            its ``submit`` runs on the event loop, so it must not block.
         host: Bind address; keep the localhost default unless you mean
             to expose the service.
         port: Bind port; 0 picks a free ephemeral port (read it back

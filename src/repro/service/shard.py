@@ -1,38 +1,25 @@
-"""The shard pool: N single-flight brokers partitioned by content address.
+"""The served broker: one :class:`ServiceBroker` behind an admission gate.
 
-One dispatcher thread was the scale ceiling of the original service —
-every query, cached or not, serialized through a single loop.  The pool
-keeps the broker exactly as it is and simply runs ``n_shards`` of them,
-routing each query to the shard that owns its sha256 content address:
+``repro serve`` answers through a :class:`ShardPool`: the broker itself
+(one bounded queue, one dispatcher that coalesces duplicates and solves
+each distinct kernel once per batch) with an
+:class:`~repro.service.admission.AdmissionController` in front of the
+queue.  Where a bare broker blocks a submitter on a full queue, the pool
+sheds with a typed :class:`~repro.service.errors.ServiceOverloaded`.
+Admission keeps inflight work below the queue bound, so the pool's
+``submit`` never blocks, and the asyncio front-end calls it inline on
+the event loop.  The answer cache is L1, tiered to an L2 spill when
+``spill_dir`` is set.
 
-    ``shard = int(key[:8], 16) % n_shards``  (:func:`shard_of`)
-
-Because the key → shard mapping is deterministic, identical queries
-always land on the same shard, so the per-broker batch-dedup remains a
-global single-flight lock: N identical queries still cost one solve at
-any shard count.  Distinct queries on different shards now solve
-concurrently.
-
-Shared tiers, private queues:
-
-* All shards share **one** answer cache (L1, optionally tiered to an L2
-  spill directory) and **one** engine trace cache (L3) — an answer
-  computed by any shard is a hit for every shard.
-* Each shard has its own bounded queue fronted by an
-  :class:`~repro.service.admission.AdmissionController` — overload on
-  one shard sheds with a typed
-  :class:`~repro.service.errors.ServiceOverloaded` instead of blocking,
-  and cannot stall the others.
-
-Determinism contract unchanged: answers are byte-identical to direct
-runs at any shard count, concurrency, and spill state (asserted in
-``tests/test_service_tiers.py``).
+There is one broker because one broker is one single-flight lock:
+partitioning queries over several brokers repeated solves (brokers share
+the L3 trace cache but not its single flight) and was slower on cached
+traffic too.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.config import HarnessConfig
 from repro.engine import EngineOptions
@@ -42,6 +29,7 @@ from repro.service.broker import BrokerClosed, ServiceBroker, _Ticket
 from repro.service.cache import ResultCache, TieredResultCache
 from repro.service.errors import (
     QueryValidationError,
+    ServiceOverloaded,
     ShardUnavailable,
 )
 from repro.service.queries import Query, query_key, query_kind
@@ -50,34 +38,32 @@ __all__ = ["ShardPool", "shard_of"]
 
 
 def shard_of(key: str, n_shards: int) -> int:
-    """The shard index owning content address ``key``.
+    """The partition index of content address ``key`` among ``n_shards``.
 
     The leading 8 hex digits of the sha256 content address, modulo the
-    shard count — deterministic, uniform, and stable across processes,
-    so every client and every restart routes one question to one shard.
+    partition count — deterministic, uniform, and stable across
+    processes.  The service runs one broker, so nothing routes through
+    this any more.  It stays because it is exported from
+    :mod:`repro.service`, and because the benchmark's traced run
+    (``perfbench/tracing.py``) wraps ``shard.shard_of`` by name as part
+    of its route layer.
     """
     return int(key[:8], 16) % n_shards
 
 
-class ShardPool:
-    """A pool of brokers behind one submit surface, routed by key.
+class ShardPool(ServiceBroker):
+    """The broker ``repro serve`` runs: admission in front of the queue.
 
-    Drop-in for :class:`ServiceBroker` where it matters (``ask`` /
-    ``ask_many`` / ``stats`` / ``close`` / context manager), plus
-    admission control and the shared tiered cache.
+    Inherits ``result`` / ``ask`` / ``ask_many`` / ``close`` and the
+    context manager; :meth:`submit` sheds instead of blocking.  Takes
+    :class:`ServiceBroker`'s ``config``, ``overrides``,
+    ``engine_options`` and ``campaign_jobs``, plus:
 
     Args:
-        config: Harness configuration, shared by every shard (part of
-            every content address, so it must be uniform).
-        overrides: Kernel factory overrides, shared by every shard.
-        engine_options: Engine options; the pool pins one shared trace
-            cache (L3) onto them so all shards reuse solve profiles.
-        n_shards: Broker count; 1 reproduces the original topology.
-        capacity: Shared L1 answer-cache entries.
+        capacity: L1 answer-cache entries.
         spill_dir: L2 spill directory; None disables the disk tier.
-        max_inflight: Per-shard admitted-but-unfinished bound; beyond
-            it, submits shed with ``ServiceOverloaded``.
-        campaign_jobs: Process-pool width handed to campaign queries.
+        max_inflight: Admitted-but-unfinished bound; beyond it, submits
+            shed with ``ServiceOverloaded``.
     """
 
     def __init__(
@@ -85,61 +71,37 @@ class ShardPool:
         config: Optional[HarnessConfig] = None,
         overrides: Optional[dict] = None,
         engine_options: Optional[EngineOptions] = None,
-        n_shards: int = 1,
         capacity: int = 1024,
         spill_dir=None,
         max_inflight: int = 64,
         campaign_jobs: int = 1,
     ):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = n_shards
-        self.config = (
-            config if config is not None else HarnessConfig()
-        ).validated()
         if spill_dir is not None:
-            self.cache: ResultCache = TieredResultCache(
+            cache: ResultCache = TieredResultCache(
                 capacity, spill_dir=spill_dir
             )
         else:
-            self.cache = ResultCache(capacity)
-        # One shared trace cache: pin it before fanning out so every
-        # shard's broker sees the same L3.
-        options = (
-            engine_options if engine_options is not None else EngineOptions()
+            cache = ResultCache(capacity)
+        self._admission = AdmissionController(max_inflight=max_inflight)
+        super().__init__(
+            config=config,
+            overrides=overrides,
+            engine_options=engine_options,
+            # The queue never blocks: admission bounds inflight work
+            # below the queue capacity, so a full queue is a bug, not
+            # backpressure.
+            max_pending=max(2 * max_inflight, 8),
+            campaign_jobs=campaign_jobs,
+            cache=cache,
         )
-        if options.trace_cache is None:
-            options = replace(options, trace_cache=options.make_cache())
-        self._admission = [
-            AdmissionController(max_inflight=max_inflight)
-            for _ in range(n_shards)
-        ]
-        self._shards: List[ServiceBroker] = [
-            ServiceBroker(
-                config=self.config,
-                overrides=overrides,
-                engine_options=options,
-                # The queue never blocks: admission bounds inflight work
-                # below the queue capacity, so a full queue is a bug,
-                # not backpressure.
-                max_pending=max(max_inflight * 2, 8),
-                campaign_jobs=campaign_jobs,
-                cache=self.cache,
-                name=f"-shard{index}",
-            )
-            for index in range(n_shards)
-        ]
-        self._closed = False
-
-    # -- submit path ----------------------------------------------------------
 
     def submit(self, query: Query) -> _Ticket:
-        """Validate, route by content address, admit, and enqueue.
+        """Validate, admit, and enqueue one query without blocking.
 
         Raises :class:`QueryValidationError` on a bad query,
-        :class:`~repro.service.errors.ServiceOverloaded` when the owning
-        shard is at capacity, and :class:`ShardUnavailable` when it has
-        shut down.
+        :class:`~repro.service.errors.ServiceOverloaded` when the
+        inflight bound is reached, and :class:`ShardUnavailable` once
+        the service is closed.
         """
         try:
             query = query.validated()
@@ -155,28 +117,22 @@ class ShardPool:
             raise QueryValidationError(message) from exc
         key = query_key(query, self.config)
         kind = query_kind(query)
-        index = shard_of(key, self.n_shards)
-        broker = self._shards[index]
-        if self._closed or broker._closed.is_set():
-            raise ShardUnavailable(
-                f"shard {index}/{self.n_shards} for key {key} is closed"
-            )
-        admission = self._admission[index]
+        if self._closed.is_set():
+            raise ShardUnavailable("the service is closed")
+        admission = self._admission
         priority = query.options.priority
         try:
             admission.try_admit(priority)
-        except Exception:
+        except ServiceOverloaded:
             metrics = get_metrics()
             if metrics.enabled:
                 metrics.inc("service.shed")
             raise
         try:
-            ticket = broker.submit_prevalidated(query, key, kind)
+            ticket = self.submit_prevalidated(query, key, kind)
         except BrokerClosed as exc:
             admission.release(priority)
-            raise ShardUnavailable(
-                f"shard {index}/{self.n_shards} for key {key} is closed"
-            ) from exc
+            raise ShardUnavailable("the service is closed") from exc
         except Exception:
             admission.release(priority)
             raise
@@ -185,67 +141,11 @@ class ShardPool:
         )
         return ticket
 
-    def result(self, ticket: _Ticket, timeout: Optional[float] = None) -> dict:
-        """Wait for a ticket's answer; re-raises its solve error if any."""
-        index = shard_of(ticket.key, self.n_shards)
-        return self._shards[index].result(ticket, timeout=timeout)
-
-    def ask(self, query: Query, timeout: Optional[float] = None) -> dict:
-        """Submit one query and block for its answer.
-
-        Like :meth:`ServiceBroker.ask`, ``timeout`` falls back to the
-        query's own options when omitted.
-        """
-        if timeout is None:
-            timeout = query.options.timeout
-        return self.result(self.submit(query), timeout=timeout)
-
-    def ask_many(self, queries, timeout: Optional[float] = None) -> List[dict]:
-        """Submit a burst, then collect answers in submission order.
-
-        Submitting everything up front lets every shard see its slice
-        of the burst as few batches, maximizing coalescing per shard.
-        """
-        tickets = [self.submit(q) for q in queries]
-        return [self.result(t, timeout=timeout) for t in tickets]
-
-    # -- introspection / lifecycle -------------------------------------------
-
     def stats(self) -> dict:
-        """JSON-friendly pool counters, shaped like broker stats.
-
-        The broker-compatible keys (``cache`` / ``batches`` /
-        ``pending`` / ``closed``) aggregate across shards so existing
-        consumers (CLI ``stats`` op, CI smoke asserts) keep working; the
-        ``shards`` list breaks the same numbers out per shard.
-        """
-        shard_stats = []
-        for index, broker in enumerate(self._shards):
-            entry = broker.stats()
-            entry.pop("cache", None)  # shared; reported once at top level
-            entry["shard"] = index
-            entry["admission"] = self._admission[index].stats()
-            shard_stats.append(entry)
+        """The broker's counters, plus ``admission`` and its ``shed``."""
+        admission = self._admission.stats()
         return {
-            "cache": self.cache.as_dict(),
-            "batches": sum(s["batches"] for s in shard_stats),
-            "pending": sum(s["pending"] for s in shard_stats),
-            "closed": self._closed,
-            "n_shards": self.n_shards,
-            "shed": sum(s["admission"]["shed"] for s in shard_stats),
-            "shards": shard_stats,
+            **super().stats(),
+            "admission": admission,
+            "shed": admission["shed"],
         }
-
-    def close(self) -> None:
-        """Close every shard and stop accepting queries."""
-        self._closed = True
-        for broker in self._shards:
-            broker.close()
-
-    def __enter__(self) -> "ShardPool":
-        """Context-manager entry: the pool itself."""
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: close every shard."""
-        self.close()

@@ -33,6 +33,7 @@ from repro.service import (
     ServiceBroker,
     ServiceClient,
     ServiceServer,
+    ShardPool,
     mission_record,
     parse_request,
     query_key,
@@ -299,8 +300,8 @@ def test_wire_request_round_trip():
 
 
 def test_server_round_trip_over_tcp():
-    with ServiceBroker(config=CONFIG, overrides=OVERRIDES) as broker:
-        with ServiceServer(broker, port=0) as server:
+    with ShardPool(config=CONFIG, overrides=OVERRIDES) as pool:
+        with ServiceServer(pool, port=0) as server:
             host, port = server.address
             with ServiceClient(host, port, timeout=60.0) as client:
                 assert client.ping()

@@ -1,4 +1,4 @@
-"""Tests for the sharded, tiered, admission-controlled service layer.
+"""Tests for the tiered, admission-controlled served broker.
 
 The contract under test (see ``docs/service.md``):
 
@@ -6,13 +6,18 @@ The contract under test (see ``docs/service.md``):
   hits L2 promotes back into L1, per-tier hits are counted; a spill
   file is written once while whole, and a torn one reads as a miss and
   is rewritten;
-* shard-count invariance: the same 64-query burst returns byte-identical
-  answers (in the key order the server sends) at 1, 2, and 4 shards,
-  with the L2 spill enabled and disabled, and matches the serial
-  reference driver;
-* admission control: a full shard sheds with a typed
+* spill invariance: the same 64-query burst returns byte-identical
+  answers (in the key order the server sends) with the L2 spill enabled
+  and disabled, costs one engine solve per kernel, leaves no admission
+  slot in flight, and matches the serial reference driver; a drawn mix
+  of asks, cache policies, L1 capacities and spill states answers, in
+  process and over TCP, exactly what a plain broker answers;
+* admission control: a full pool sheds with a typed
   ``ServiceOverloaded`` (deterministic ``retry_after``) instead of
   blocking, and batch priority sheds before interactive;
+* a server-side timeout mid-solve ends in a typed ``timeout`` record,
+  the server keeps answering, and the held slot and answer are not
+  lost;
 * the typed error taxonomy round-trips the wire envelope, and the
   client re-raises typed classes, honors per-query timeouts, and
   retries shed queries with backoff.
@@ -21,11 +26,17 @@ The contract under test (see ``docs/service.md``):
 import dataclasses
 import json
 import socket
+import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro import api
 from repro.core.config import HarnessConfig
 from repro.core.experiment import SweepSpec, run_sweep_serial
 from repro.core.experiment_io import result_to_dict
@@ -36,6 +47,7 @@ from repro.service import (
     QueryOptions,
     QueryValidationError,
     ResultCache,
+    ServiceBroker,
     ServiceClient,
     ServiceError,
     ServiceOverloaded,
@@ -52,6 +64,7 @@ from repro.service import (
     request_of,
     shard_of,
 )
+from tests.test_service import counting_run_plan
 
 #: One rep, no warmup, shrunk sequences: answers stay exact, tests stay fast.
 CONFIG = HarnessConfig(reps=1, warmup_reps=0)
@@ -76,6 +89,21 @@ def metrics():
     _, registry = obs.observe()
     yield registry
     obs.unobserve()
+
+
+@pytest.fixture(scope="module")
+def direct_answers():
+    """Each test cell's unsorted rendering from a plain broker's answer."""
+    with ServiceBroker(config=CONFIG, overrides=OVERRIDES) as broker:
+        return [
+            json.dumps(api.query(cell, broker=broker))
+            for cell in distinct_cells()
+        ]
+
+
+def unwrapped(reply: dict) -> dict:
+    """A TCP reply without its ``v`` / ``ok`` envelope fields."""
+    return {k: v for k, v in reply.items() if k not in ("v", "ok")}
 
 
 # ------------------------------------------------------------ cache tiers
@@ -152,7 +180,7 @@ def test_plain_result_cache_get_tiered_is_l1_only():
     assert cache.get_tiered("absent") == (None, None)
 
 
-# --------------------------------------------------- shard routing basics
+# ------------------------------------------------ the partition key map
 
 
 def test_shard_of_is_deterministic_and_in_range():
@@ -168,9 +196,10 @@ def test_shard_of_is_deterministic_and_in_range():
 # ------------------------------------------- the headline invariance burst
 
 
-def test_burst_is_byte_identical_at_any_shard_count_and_spill_state(
-    metrics, tmp_path
+def test_burst_is_byte_identical_at_any_spill_state(
+    metrics, tmp_path, monkeypatch
 ):
+    solves = counting_run_plan(monkeypatch)
     cells = distinct_cells()
     queries = cells * 8  # 64 queries, duplicates interleaved
 
@@ -190,74 +219,113 @@ def test_burst_is_byte_identical_at_any_shard_count_and_spill_state(
     }
 
     rendered = {}
-    for n_shards in (1, 2, 4):
-        for spill in (False, True):
-            spill_dir = (
-                tmp_path / f"spill-{n_shards}-{spill}" if spill else None
+    for spill in (False, True):
+        solves.clear()
+        spill_dir = tmp_path / "spill" if spill else None
+        # capacity < distinct cells so the spill run actually evicts
+        # and re-loads through L2 mid-burst.
+        with ShardPool(
+            config=CONFIG,
+            overrides=OVERRIDES,
+            capacity=4,
+            spill_dir=spill_dir,
+        ) as pool:
+            first = pool.ask_many(queries, timeout=300)
+            again = [pool.ask(q, timeout=300) for q in cells]
+            # An immediate repeat is a guaranteed L1 hit (the cell
+            # was just promoted/written into the LRU).
+            encore = pool.ask(cells[-1], timeout=300)
+        # Read after close: the dispatcher has been joined, so every
+        # delivery's slot release has run.
+        assert pool.stats()["admission"]["inflight"] == 0
+        # One broker is one single-flight lock: one solve per kernel.
+        assert sum(solves) == len(KERNELS)
+        # Unsorted renderings, as the server encodes answers: a
+        # spilled answer must come back in its original key order.
+        assert json.dumps(encore) == json.dumps(again[-1])
+        rendered[spill] = json.dumps(first)
+        # Round 2 (served via L1/L2, never re-solved) is identical.
+        for q, payload in zip(cells, again):
+            assert json.dumps(payload) == json.dumps(
+                first[cells.index(q)]
             )
-            # capacity < distinct cells so the spill runs actually
-            # evict and re-load through L2 mid-burst.
-            with ShardPool(
-                config=CONFIG,
-                overrides=OVERRIDES,
-                n_shards=n_shards,
-                capacity=4,
-                spill_dir=spill_dir,
-            ) as pool:
-                first = pool.ask_many(queries, timeout=300)
-                again = [pool.ask(q, timeout=300) for q in cells]
-                # An immediate repeat is a guaranteed L1 hit (the cell
-                # was just promoted/written into the LRU).
-                encore = pool.ask(cells[-1], timeout=300)
-            # Unsorted renderings, as the server encodes answers: a
-            # spilled answer must come back in its original key order.
-            assert json.dumps(encore) == json.dumps(again[-1])
-            rendered[(n_shards, spill)] = json.dumps(first)
-            # Round 2 (served via L1/L2, never re-solved) is identical.
-            for q, payload in zip(cells, again):
-                assert json.dumps(payload) == json.dumps(
-                    first[cells.index(q)]
-                )
-            # Every answer matches the serial reference driver.
-            for q, payload in zip(cells, first[:len(cells)]):
-                key = (q.kernel, q.arch, q.cache)
-                assert json.dumps(payload["result"], sort_keys=True) == \
-                    expected[key]
+        # Every answer matches the serial reference driver.
+        for q, payload in zip(cells, first[:len(cells)]):
+            key = (q.kernel, q.arch, q.cache)
+            assert json.dumps(payload["result"], sort_keys=True) == \
+                expected[key]
 
-    # One rendering, whatever the topology.
+    # One rendering, whatever the spill state.
     assert len(set(rendered.values())) == 1
 
     counters = metrics.as_dict()["counters"]
-    # 6 topologies x (64 burst + 8 re-asks + 1 encore), nothing lost
+    # 2 spill states x (64 burst + 8 re-asks + 1 encore), nothing lost
     # or duplicated.
-    assert counters["service.queries"] == 6 * (64 + 8 + 1)
+    assert counters["service.queries"] == 2 * (64 + 8 + 1)
     assert counters.get("service.errors", 0) == 0
     # The capacity-4 L1 cannot hold 8 cells: spill runs must hit L2.
     assert counters["service.l2_hits"] >= 1
     assert counters["service.l1_hits"] >= 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    asks=st.lists(
+        st.tuples(
+            st.integers(0, 7), st.sampled_from(("use", "bypass", "refresh"))
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    capacity=st.integers(1, 8),
+    spill=st.booleans(),
+    over_tcp=st.booleans(),
+)
+def test_served_answer_equals_the_direct_answer(
+    direct_answers, asks, capacity, spill, over_tcp
+):
+    cells = distinct_cells()
+    queries = [
+        dataclasses.replace(cells[index], options=QueryOptions(cache=policy))
+        for index, policy in asks
+    ]
+    with tempfile.TemporaryDirectory(prefix="spill-") as tmp:
+        with ShardPool(
+            config=CONFIG,
+            overrides=OVERRIDES,
+            capacity=capacity,
+            spill_dir=Path(tmp) if spill else None,
+        ) as pool:
+            if over_tcp:
+                with ServiceServer(pool, port=0) as server, \
+                        ServiceClient(*server.address, timeout=300.0) as client:
+                    answers = [unwrapped(client.ask(q)) for q in queries]
+            else:
+                answers = pool.ask_many(queries, timeout=300)
+        # Read after close: every delivery's slot release has run.
+        assert pool.stats()["admission"]["inflight"] == 0
+    for (index, _), answer in zip(asks, answers):
+        assert json.dumps(answer) == direct_answers[index]
+
+
 # ----------------------------------------------------- admission control
 
 
-def _gate_dispatcher(pool, shard_index=0):
-    """Block a shard's batch processing behind an event; returns the gate."""
-    broker = pool._shards[shard_index]
+def _gate_dispatcher(pool):
+    """Block the pool's batch processing behind an event; returns the gate."""
     gate = threading.Event()
-    original = broker._run_batch
+    original = pool._run_batch
 
     def gated(batch):
         gate.wait(30)
         original(batch)
 
-    broker._run_batch = gated
+    pool._run_batch = gated
     return gate
 
 
 def test_full_shard_sheds_with_typed_overload_and_retry_hint():
-    pool = ShardPool(
-        config=CONFIG, overrides=OVERRIDES, n_shards=1, max_inflight=2
-    )
+    pool = ShardPool(config=CONFIG, overrides=OVERRIDES, max_inflight=2)
     gate = _gate_dispatcher(pool)
     try:
         t1 = pool.submit(CharacterizeQuery(kernel="mahony"))
@@ -288,7 +356,7 @@ def test_full_shard_sheds_with_typed_overload_and_retry_hint():
 def test_batch_priority_sheds_before_interactive():
     batch_opts = QueryOptions(priority="batch")
     pool = ShardPool(
-        config=CONFIG, overrides=OVERRIDES, n_shards=1, max_inflight=4
+        config=CONFIG, overrides=OVERRIDES, max_inflight=4
     )  # batch_limit = 2
     gate = _gate_dispatcher(pool)
     try:
@@ -302,7 +370,7 @@ def test_batch_priority_sheds_before_interactive():
             pool.submit(dataclasses.replace(cells[2], options=batch_opts))
         tickets.append(pool.submit(cells[3]))
         tickets.append(pool.submit(cells[4]))
-        # Now the whole shard is full: interactive sheds too.
+        # Now the whole pool is full: interactive sheds too.
         with pytest.raises(ServiceOverloaded):
             pool.submit(cells[5])
         gate.set()
@@ -314,7 +382,7 @@ def test_batch_priority_sheds_before_interactive():
 
 
 def test_closed_pool_raises_shard_unavailable():
-    pool = ShardPool(config=CONFIG, overrides=OVERRIDES, n_shards=2)
+    pool = ShardPool(config=CONFIG, overrides=OVERRIDES)
     pool.close()
     with pytest.raises(ShardUnavailable):
         pool.submit(CharacterizeQuery(kernel="mahony"))
@@ -408,8 +476,8 @@ def test_cache_policy_bypass_and_refresh(metrics):
 @pytest.mark.parametrize("exc", [
     ServiceError("plain failure"),
     QueryValidationError("unknown kernel 'nope'"),
-    ServiceOverloaded("shard at capacity", retry_after=0.075),
-    ShardUnavailable("shard 1/4 is closed"),
+    ServiceOverloaded("service at capacity", retry_after=0.075),
+    ShardUnavailable("the service is closed"),
     ServiceTimeout("no answer within 2.0s"),
 ])
 def test_every_typed_error_round_trips_the_wire(exc):
@@ -448,7 +516,9 @@ def test_client_ask_raises_typed_errors_end_to_end():
                 with pytest.raises(QueryValidationError, match="nope"):
                     client.ask({"op": "characterize", "kernel": "nope"})
                 stats = client.stats()
-                assert stats["n_shards"] == 1
+                # The bad query failed validation before admission.
+                assert stats["admission"]["admitted"] == 1
+                assert stats["shed"] == 0
                 assert stats["cache"]["entries"] >= 1
 
                 # v1 requests still get flat string errors.
@@ -459,9 +529,7 @@ def test_client_ask_raises_typed_errors_end_to_end():
 
 
 def test_client_ask_sees_overload_with_retry_hint_over_the_wire():
-    pool = ShardPool(
-        config=CONFIG, overrides=OVERRIDES, n_shards=1, max_inflight=1
-    )
+    pool = ShardPool(config=CONFIG, overrides=OVERRIDES, max_inflight=1)
     gate = _gate_dispatcher(pool)
     try:
         ticket = pool.submit(CharacterizeQuery(kernel="mahony"))
@@ -473,6 +541,47 @@ def test_client_ask_sees_overload_with_retry_hint_over_the_wire():
                 assert shed.value.retry_after > 0
         gate.set()
         pool.result(ticket, timeout=300)
+    finally:
+        gate.set()
+        pool.close()
+
+
+def test_server_timeout_mid_solve_is_typed_and_leaks_nothing(
+    direct_answers,
+):
+    cells = distinct_cells()
+    cell = cells[3]
+    request = {
+        "v": 2, "op": "characterize", "kernel": cell.kernel,
+        "arch": cell.arch, "cache": cell.cache, "options": {"timeout": 0.2},
+    }
+    pool = ShardPool(config=CONFIG, overrides=OVERRIDES)
+    gate = _gate_dispatcher(pool)
+    try:
+        with ServiceServer(pool, port=0) as server, \
+                ServiceClient(*server.address, timeout=30.0) as client, \
+                ServiceClient(*server.address, timeout=30.0) as other:
+            # The client's own deadline bounds the wait for the reply.
+            reply = client.query(request, timeout=5.0)
+            assert reply["v"] == 2 and reply["ok"] is False
+            assert reply["error"]["code"] == "timeout"
+            # The solve is still held; the loop keeps answering.
+            assert client.ping()
+            assert other.ping()
+            assert pool.stats()["admission"]["inflight"] == 1
+
+            gate.set()
+            deadline = time.monotonic() + 30
+            while (pool.stats()["admission"]["inflight"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert pool.stats()["admission"]["inflight"] == 0
+
+            # The held solve landed in L1: the repeat is a hit.
+            hits = pool.stats()["cache"]["hits"]
+            again = client.ask(cell)
+            assert pool.stats()["cache"]["hits"] == hits + 1
+            assert json.dumps(unwrapped(again)) == direct_answers[3]
     finally:
         gate.set()
         pool.close()
