@@ -33,7 +33,6 @@ from repro.lint.rules import (
     Module,
     Rule,
     register_rule,
-    walk_with_parents,
 )
 
 #: The one package allowed to define arch constants.
@@ -51,8 +50,6 @@ TABLE_NAME = re.compile(
     r"|[A-Z0-9_]*(CPI|ARCH_FACTORS)[A-Z0-9_]*"
     r")$"
 )
-
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _in_backends(module_name: str) -> bool:
@@ -77,9 +74,11 @@ def _target_names(node: ast.AST) -> List[str]:
 class ArchConstantsRule(Rule):
     """Arch cost tables and core specs may only live in ``repro.backends``.
 
-    Per-file: walks each module's top-level (and class-level) bindings,
-    flagging spec-constructor calls and cost-table-named constants in any
-    module outside the backends package.
+    Per-file: reads every assignment from the module's node index,
+    skips those inside a ``def`` or ``lambda``, and flags the remaining
+    (module- and class-level) spec-constructor calls and
+    cost-table-named constants in any module outside the backends
+    package.
     """
 
     id = "arch-constants"
@@ -94,10 +93,11 @@ class ArchConstantsRule(Rule):
         if _in_backends(module.name):
             return
         aliases = module.aliases
-        for node, ancestors in walk_with_parents(module.tree):
+        enclosed = module.index.enclosed
+        for node in module.index.nodes:
             if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
-            if any(isinstance(a, _SCOPE_NODES) for a in ancestors):
+            if node in enclosed:
                 continue
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [n for t in targets for n in _target_names(t)]

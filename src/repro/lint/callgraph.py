@@ -36,13 +36,22 @@ from repro.lint.rules import Module
 #: Atom tuples are (tag, payload) / (tag, payload, extra); see module doc.
 Atom = Tuple[str, ...]
 
-#: Wall-clock reads (mirrors the basic ``no-wall-clock`` rule's set).
+#: Wall-clock reads: taint sources here, banned uses for the basic
+#: ``no-wall-clock`` rule.
 WALL_CLOCK_SOURCES = frozenset({
     "time.time", "time.time_ns", "time.perf_counter",
     "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
     "time.process_time", "time.process_time_ns", "time.clock_gettime",
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
+})
+
+#: The sanctioned clock seams: modules that own a real clock on purpose.
+#: ``no-wall-clock`` skips them and they never seed taint.
+CLOCK_SEAMS = frozenset({
+    "repro/obs/tracer.py",
+    "repro/engine/executor.py",
+    "repro/service/broker.py",
 })
 
 #: Environment / host-identity reads that vary between machines and runs.
@@ -54,7 +63,7 @@ ENV_SOURCES = frozenset({
 #: Non-call attribute reads that are sources by themselves.
 ENV_ATTR_SOURCES = frozenset({"os.environ"})
 
-#: Seeded numpy.random constructors (identical to ``no-unseeded-rng``).
+#: Seeded numpy.random constructors, fine to call anywhere.
 NP_RNG_ALLOWED = frozenset({
     "default_rng", "Generator", "SeedSequence", "BitGenerator",
     "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
@@ -62,6 +71,9 @@ NP_RNG_ALLOWED = frozenset({
 
 #: Seeded stdlib random constructors.
 STDLIB_RNG_ALLOWED = frozenset({"Random", "SystemRandom"})
+
+#: Imports that mark a module as pool-dispatching.
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 #: Method leaf names treated as pricing sinks wherever they are called.
 PRICING_SINK_LEAVES = frozenset({
@@ -104,6 +116,15 @@ def sink_kind(resolved: Optional[str], leaf: str) -> Optional[str]:
     return None
 
 
+def is_unseeded_rng(resolved: str) -> bool:
+    """True for a global-state ``random.*`` or ``numpy.random.*`` name."""
+    parts = resolved.split(".")
+    if len(parts) == 2 and parts[0] == "random":
+        return parts[1] not in STDLIB_RNG_ALLOWED
+    return (len(parts) == 3 and parts[:2] == ["numpy", "random"]
+            and parts[2] not in NP_RNG_ALLOWED)
+
+
 def classify_source(resolved: Optional[str]) -> Optional[str]:
     """The nondeterminism-source label for a resolved call target."""
     if resolved is None:
@@ -112,13 +133,8 @@ def classify_source(resolved: Optional[str]) -> Optional[str]:
         return f"wall-clock {resolved}"
     if resolved in ENV_SOURCES:
         return f"environment {resolved}"
-    parts = resolved.split(".")
-    if len(parts) == 2 and parts[0] == "random":
-        if parts[1] not in STDLIB_RNG_ALLOWED:
-            return f"unseeded-rng {resolved}"
-    if len(parts) == 3 and parts[:2] == ["numpy", "random"]:
-        if parts[2] not in NP_RNG_ALLOWED:
-            return f"unseeded-rng {resolved}"
+    if is_unseeded_rng(resolved):
+        return f"unseeded-rng {resolved}"
     return None
 
 
@@ -182,6 +198,8 @@ class ModuleSummary:
     #: Module-level names bound to mutable containers, name -> line.
     top_mutables: Dict[str, int] = field(default_factory=dict)
 
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 _MUTABLE_CONSTRUCTORS = frozenset({
     "list", "dict", "set", "defaultdict", "deque", "OrderedDict", "Counter",
@@ -619,8 +637,15 @@ def summarize_module(module: Module) -> ModuleSummary:
     summary = ModuleSummary(name=module.name, relpath=module.relpath)
     resolver = _Resolver(module)
     root_pkg = module.name.split(".")[0]
-    uses_pools = module.aliases.imports_any(
-        ("concurrent.futures", "multiprocessing"))
+    uses_pools = module.aliases.imports_any(POOL_MODULES)
+    # Nested-def names per enclosing def, from one pass over the index.
+    index = module.index
+    nested: Dict[ast.AST, Set[str]] = {}
+    for node in index.nodes:
+        if isinstance(node, _DEFS) and node in index.enclosed:
+            for outer in index.ancestors(node):
+                if isinstance(outer, _DEFS):
+                    nested.setdefault(outer, set()).add(node.name)
 
     # Re-export aliases: ``from X import y`` binds ``<module>.y`` -> X.y.
     for node in ast.iter_child_nodes(module.tree):
@@ -645,13 +670,8 @@ def summarize_module(module: Module) -> ModuleSummary:
         )]
         fn = FunctionSummary(qualname=qualname, line=node.lineno,
                              params=params)
-        nested = {
-            child.name for child in ast.walk(node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and child is not node
-        }
         walker = _FunctionWalker(resolver, fn, cls, root_pkg,
-                                 nested, uses_pools)
+                                 nested.get(node, set()), uses_pools)
         walker.run(node.body, summary.top_mutables)
         summary.functions[qualname] = fn
 
@@ -678,7 +698,6 @@ class FunctionTable:
     """
 
     def __init__(self, summaries: Dict[str, ModuleSummary]):
-        self.summaries = summaries
         self.functions: Dict[str, FunctionSummary] = {}
         self.module_of: Dict[str, str] = {}
         self.aliases: Dict[str, str] = {}
@@ -696,16 +715,7 @@ class FunctionTable:
             if name in seen:
                 return None
             seen.add(name)
-            target = self.aliases.get(name)
-            if target is None:
-                # ``pkg.sub.f`` may re-export through ``pkg.f``.
-                parts = name.rsplit(".", 1)
-                if len(parts) == 2 and parts[0] in {
-                    s.name for s in self.summaries.values()
-                }:
-                    return None
-                return None
-            name = target
+            name = self.aliases.get(name)
         return name
 
     def reachable_from(self, entries: Sequence[str]) -> Dict[str, Tuple[str, ...]]:

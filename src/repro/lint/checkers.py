@@ -2,9 +2,13 @@
 
 Each rule here protects one of the repo's headline guarantees — sweeps
 and campaigns are byte-identical across runs and ``--jobs`` counts — or
-a hygiene invariant the suite already enforced piecemeal.  All pattern
-matching goes through :class:`repro.lint.rules.ImportAliases`, so
-``time.perf_counter`` is caught however it was imported.
+a hygiene invariant the suite already enforced piecemeal.  Every rule
+iterates the module's shared :class:`~repro.lint.rules.NodeIndex` and
+never walks the tree itself; all pattern matching goes through
+:class:`repro.lint.rules.ImportAliases`, so ``time.perf_counter`` is
+caught however it was imported.  The determinism vocabulary (banned
+clocks, the clock seams, seeded RNG constructors, pool imports) is the
+deep engine's, from :mod:`repro.lint.callgraph`.
 """
 
 from __future__ import annotations
@@ -12,13 +16,18 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Optional, Tuple
 
+from repro.lint.callgraph import (
+    CLOCK_SEAMS,
+    POOL_MODULES,
+    WALL_CLOCK_SOURCES,
+    is_unseeded_rng,
+)
 from repro.lint.rules import (
     Finding,
     ImportAliases,
     Module,
     Rule,
     register_rule,
-    walk_with_parents,
 )
 
 
@@ -44,32 +53,16 @@ class WallClockRule(Rule):
         "host time; timing belongs to repro.obs"
     )
 
-    #: Attribute paths whose *use* (call or reference) is banned.
-    BANNED = frozenset({
-        "time.time", "time.time_ns", "time.perf_counter",
-        "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-        "time.process_time", "time.process_time_ns", "time.clock_gettime",
-        "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
-
-    #: Modules that own a real clock on purpose.
-    ALLOWED_MODULES = frozenset({
-        "repro/obs/tracer.py",
-        "repro/engine/executor.py",
-        "repro/service/broker.py",
-    })
-
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag imports and uses of banned clock functions."""
-        if module.relpath in self.ALLOWED_MODULES:
+        if module.relpath in CLOCK_SEAMS:
             return
         aliases = module.aliases
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if isinstance(node, ast.ImportFrom) and not node.level:
                 for alias in node.names:
                     full = f"{node.module}.{alias.name}"
-                    if full in self.BANNED:
+                    if full in WALL_CLOCK_SOURCES:
                         yield Finding(
                             rule=self.id, path=module.relpath,
                             line=node.lineno,
@@ -79,7 +72,7 @@ class WallClockRule(Rule):
                 isinstance(node, ast.Name) and node.id in aliases.symbols
             ):
                 resolved = aliases.resolve(node)
-                if resolved in self.BANNED:
+                if resolved in WALL_CLOCK_SOURCES:
                     yield Finding(
                         rule=self.id, path=module.relpath, line=node.lineno,
                         message=f"wall-clock use of {resolved}",
@@ -103,57 +96,26 @@ class UnseededRngRule(Rule):
         "--jobs N byte-identical"
     )
 
-    #: Seeded constructors on numpy.random that are fine to call.
-    NP_ALLOWED = frozenset({
-        "default_rng", "Generator", "SeedSequence", "BitGenerator",
-        "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-    })
-
-    #: Stdlib random attributes that are fine (seeded instances).
-    STDLIB_ALLOWED = frozenset({"Random", "SystemRandom"})
-
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag global-state RNG calls and from-imports of them."""
         aliases = module.aliases
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if isinstance(node, ast.ImportFrom) and not node.level:
-                if node.module == "numpy.random":
-                    banned = [a.name for a in node.names
-                              if a.name not in self.NP_ALLOWED]
-                elif node.module == "random":
-                    banned = [a.name for a in node.names
-                              if a.name not in self.STDLIB_ALLOWED]
-                else:
-                    banned = []
-                for name in banned:
+                for alias in node.names:
+                    full = f"{node.module}.{alias.name}"
+                    if is_unseeded_rng(full):
+                        yield Finding(
+                            rule=self.id, path=module.relpath,
+                            line=node.lineno,
+                            message=f"imports global-state rng {full}",
+                        )
+            elif isinstance(node, ast.Call):
+                resolved = aliases.resolve(node.func)
+                if resolved is not None and is_unseeded_rng(resolved):
                     yield Finding(
                         rule=self.id, path=module.relpath, line=node.lineno,
-                        message=(
-                            f"imports global-state rng {node.module}.{name}"
-                        ),
+                        message=f"global-state rng call {resolved}",
                     )
-            resolved = _call_name(node, aliases)
-            if resolved is None:
-                continue
-            parts = resolved.split(".")
-            if (
-                len(parts) == 3
-                and parts[:2] == ["numpy", "random"]
-                and parts[2] not in self.NP_ALLOWED
-            ):
-                yield Finding(
-                    rule=self.id, path=module.relpath, line=node.lineno,
-                    message=f"global-state rng call {resolved}",
-                )
-            elif (
-                len(parts) == 2
-                and parts[0] == "random"
-                and parts[1] not in self.STDLIB_ALLOWED
-            ):
-                yield Finding(
-                    rule=self.id, path=module.relpath, line=node.lineno,
-                    message=f"global-state rng call {resolved}",
-                )
 
 
 class IterationOrderRule(Rule):
@@ -190,10 +152,10 @@ class IterationOrderRule(Rule):
     WRAPPERS = frozenset({"list", "tuple"})
 
     def _consumed_unordered(
-        self, ancestors: List[ast.AST], aliases: ImportAliases
+        self, ancestors: Iterable[ast.AST], aliases: ImportAliases
     ) -> bool:
-        """True when no enclosing call neutralizes the ordering."""
-        for ancestor in reversed(ancestors):
+        """True when no enclosing call (innermost first) fixes the order."""
+        for ancestor in ancestors:
             name = _call_name(ancestor, aliases)
             if name is None:
                 continue
@@ -206,7 +168,8 @@ class IterationOrderRule(Rule):
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag unsorted fs listings and for-loops over set expressions."""
         aliases = module.aliases
-        for node, ancestors in walk_with_parents(module.tree):
+        index = module.index
+        for node in index.nodes:
             if isinstance(node, ast.Call):
                 resolved = aliases.resolve(node.func)
                 is_fs = resolved in self.FS_CALLS or (
@@ -214,7 +177,9 @@ class IterationOrderRule(Rule):
                     and node.func.attr in self.FS_METHODS
                     and resolved not in aliases.symbols.values()
                 )
-                if is_fs and self._consumed_unordered(ancestors, aliases):
+                if is_fs and self._consumed_unordered(
+                    index.ancestors(node), aliases
+                ):
                     label = resolved or node.func.attr
                     yield Finding(
                         rule=self.id, path=module.relpath, line=node.lineno,
@@ -259,19 +224,13 @@ class PoolSafetyRule(Rule):
         "and --jobs N"
     )
 
-    #: Imports that mark a module as pool-dispatching.
-    POOL_MODULES = ("concurrent.futures", "multiprocessing")
-
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag globals and unpicklable submissions in pool modules."""
-        if not module.aliases.imports_any(self.POOL_MODULES):
+        if not module.aliases.imports_any(POOL_MODULES):
             return
         nested: set = set()
-        for node, ancestors in walk_with_parents(module.tree):
-            in_function = any(
-                isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for a in ancestors
-            )
+        for node in module.index.nodes:
+            in_function = node in module.index.enclosed
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if in_function:
                     nested.add(node.name)
@@ -316,7 +275,7 @@ class MutableDefaultRule(Rule):
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Flag mutable defaults on any function or lambda."""
-        for node in ast.walk(module.tree):
+        for node in module.index.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

@@ -36,6 +36,7 @@ from repro.lint.rules import (
     Finding,
     ImportGraph,
     Module,
+    NodeIndex,
     Rule,
     register_rule,
 )
@@ -140,7 +141,7 @@ class FacadeOnlyImportsRule(Rule):
                 message="file does not parse; cannot check facade imports",
             )
             return
-        for node in ast.walk(tree):
+        for node in NodeIndex(tree).nodes:
             if isinstance(node, ast.Import):
                 targets: List[str] = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:

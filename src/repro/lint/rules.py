@@ -7,6 +7,10 @@ every module plus the import graph at once.  Rules register themselves
 into a process-wide registry keyed by a short, documented rule id — the
 same id the suppression pragma and the baseline file use.
 
+Each parsed module carries one :class:`NodeIndex`, built by a single
+pre-order pass: every per-file rule, the import-alias table and the
+import graph read it instead of walking the tree themselves.
+
 Everything here is standard library only: the linter must be importable
 (and fast) in contexts where numpy is not, and it must obey the same
 layering discipline it enforces (``repro.lint`` is an import leaf).
@@ -19,7 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,55 @@ class Finding:
         }
 
 
+#: Nodes whose bodies are function scope.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+#: Node types CPython shares between parents (``Load``, ``Add``, ``Eq``
+#: ...): they have no one parent and no rule reads them.
+_SHARED = (ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop)
+
+
+class NodeIndex:
+    """Every node of one tree from a single pre-order pass.
+
+    ``nodes`` holds each node once, in pre-order (file order for
+    statements), leaving out the shared operator and context nodes;
+    ``parent`` maps every indexed node but the root to its parent;
+    ``enclosed`` holds the indexed nodes a ``def``, ``async def`` or
+    ``lambda`` encloses, its decorators and defaults included.
+    """
+
+    def __init__(self, tree: ast.AST):
+        self.nodes: List[ast.AST] = []
+        self.parent: Dict[ast.AST, ast.AST] = {}
+        self.enclosed: Set[ast.AST] = set()
+        stack = [(tree, False)]
+        while stack:
+            node, inside = stack.pop()
+            self.nodes.append(node)
+            if inside:
+                self.enclosed.add(node)
+            inside = inside or isinstance(node, _SCOPES)
+            for child in reversed(list(ast.iter_child_nodes(node))):
+                if not isinstance(child, _SHARED):
+                    self.parent[child] = node
+                    stack.append((child, inside))
+
+    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
+        """The nodes enclosing ``node``, innermost first."""
+        node = self.parent.get(node)
+        while node is not None:
+            yield node
+            node = self.parent.get(node)
+
+
 @dataclass
 class Module:
     """A parsed source file handed to every rule.
 
     The engine parses each file exactly once; rules share the tree, the
-    raw source lines (the latter drive pragma detection) and the import
-    alias table.
+    raw source lines (the latter drive pragma detection), the node index
+    and the import alias table, the last two built once on first use.
     """
 
     path: Path  #: absolute filesystem path
@@ -90,9 +136,26 @@ class Module:
     lines: List[str]
 
     @cached_property
+    def index(self) -> NodeIndex:
+        """The module's node index, built once and shared."""
+        return NodeIndex(self.tree)
+
+    @cached_property
     def aliases(self) -> "ImportAliases":
-        """The module's import-alias table, built once and shared."""
-        return ImportAliases.from_tree(self.tree)
+        """The module's import-alias table; later bindings in the file win."""
+        aliases = ImportAliases()
+        for node in self.index.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    # ``import a.b`` binds ``a``; ``import a.b as c`` binds c->a.b.
+                    target = alias.name if alias.asname else alias.name.split(".")[0]
+                    aliases.modules[local] = target
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    aliases.symbols[local] = f"{node.module}.{alias.name}"
+        return aliases
 
 
 class Rule:
@@ -207,10 +270,6 @@ class ImportGraph:
     edges: List[ImportEdge] = field(default_factory=list)
     module_names: List[str] = field(default_factory=list)
 
-    def edges_from(self, module_name: str) -> List[ImportEdge]:
-        """Edges whose source is ``module_name`` (in file order)."""
-        return [e for e in self.edges if e.src_module == module_name]
-
 
 def _resolve_relative(module_name: str, level: int, base: Optional[str]) -> str:
     """Resolve a ``from ... import`` target for relative imports."""
@@ -229,39 +288,32 @@ def build_import_graph(modules: Sequence[Module]) -> ImportGraph:
 
     ``from X import y`` may import a submodule or a symbol: the edge
     targets ``X.y`` when that names a scanned module, else ``X``.
-    Edges come in module-name order, then file order.
+    Edges come in module-name order, then file order; an import inside
+    a function body is deferred.
     """
     graph = ImportGraph(module_names=[m.name for m in modules])
     names = set(graph.module_names)
     by_name = {m.name: m for m in modules}
     for name in sorted(by_name):
-        _collect_edges(by_name[name], by_name[name].tree, False, names,
-                       graph.edges)
+        module = by_name[name]
+        for node in module.index.nodes:
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = _resolve_relative(name, node.level, node.module)
+                joined = [f"{base}.{alias.name}" if base else alias.name
+                          for alias in node.names]
+                targets = [j if j in names else base for j in joined]
+            else:
+                continue
+            deferred = node in module.index.enclosed
+            graph.edges.extend(
+                ImportEdge(src_module=name, target=target,
+                           path=module.relpath, line=node.lineno,
+                           deferred=deferred)
+                for target in targets
+            )
     return graph
-
-
-def _collect_edges(
-    module: Module, node: ast.AST, deferred: bool, names: Set[str],
-    edges: List[ImportEdge],
-) -> None:
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            targets = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            base = _resolve_relative(module.name, child.level, child.module)
-            joined = [f"{base}.{alias.name}" if base else alias.name
-                      for alias in child.names]
-            targets = [j if j in names else base for j in joined]
-        else:
-            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            _collect_edges(module, child, deferred or nested, names, edges)
-            continue
-        edges.extend(
-            ImportEdge(src_module=module.name, target=target,
-                       path=module.relpath, line=child.lineno,
-                       deferred=deferred)
-            for target in targets
-        )
 
 
 @dataclass
@@ -277,23 +329,6 @@ class ImportAliases:
 
     modules: Dict[str, str] = field(default_factory=dict)
     symbols: Dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_tree(cls, tree: ast.Module) -> "ImportAliases":
-        """Walk every import statement (any depth) into an alias table."""
-        aliases = cls()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    # ``import a.b`` binds ``a``; ``import a.b as c`` binds c->a.b.
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    aliases.modules[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    aliases.symbols[local] = f"{node.module}.{alias.name}"
-        return aliases
 
     def imports_any(self, packages: Sequence[str]) -> bool:
         """True when the module imports one of ``packages`` or below."""
@@ -321,18 +356,3 @@ class ImportAliases:
             return ".".join([self.symbols[head]] + parts)
         return ".".join([head] + parts) if parts else head
 
-
-def walk_with_parents(
-    tree: ast.AST,
-) -> Iterable[Tuple[ast.AST, List[ast.AST]]]:
-    """Yield ``(node, ancestors)`` pairs, ancestors innermost-last."""
-    stack: List[ast.AST] = []
-
-    def visit(node: ast.AST) -> Iterable[Tuple[ast.AST, List[ast.AST]]]:
-        yield node, list(stack)
-        stack.append(node)
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child)
-        stack.pop()
-
-    yield from visit(tree)

@@ -23,17 +23,23 @@ summary per function) which keeps the fixpoint linear and the findings
 deterministic; chains are capped and sorted so repeated runs emit
 byte-identical messages.
 
-Modules on the sanctioned wall-clock seam list (the tracer, the
-executor's host-side timing, the service broker) do not
-*seed* taint: their clock reads are measurement, documented as never
-reaching priced values — the basic rule already polices direct use.
+The sanctioned clock seams (:data:`repro.lint.callgraph.CLOCK_SEAMS`:
+the tracer, the executor's host-side timing, the service broker) do not
+*seed* taint: their wall-clock and environment reads are measurement,
+documented as never reaching priced values.  ``no-wall-clock`` skips
+the same modules.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.lint.callgraph import FunctionTable, ModuleSummary, summarize_module
+from repro.lint.callgraph import (
+    CLOCK_SEAMS,
+    FunctionTable,
+    ModuleSummary,
+    summarize_module,
+)
 from repro.lint.rules import (
     DeepRule,
     Finding,
@@ -41,14 +47,6 @@ from repro.lint.rules import (
     Module,
     register_rule,
 )
-
-#: Modules whose wall-clock/env reads are sanctioned measurement seams —
-#: they never seed taint (mirrors ``WallClockRule.ALLOWED_MODULES``).
-SANCTIONED_SOURCE_MODULES = frozenset({
-    "repro/obs/tracer.py",
-    "repro/engine/executor.py",
-    "repro/service/broker.py",
-})
 
 #: Longest call chain rendered in a finding message.
 MAX_CHAIN = 6
@@ -81,7 +79,7 @@ class TaintSolver:
 
     def _seeds_allowed(self, qualname: str) -> bool:
         relpath = self.table.module_of.get(qualname, "")
-        return relpath not in SANCTIONED_SOURCE_MODULES
+        return relpath not in CLOCK_SEAMS
 
     def eval_atoms(
         self, qualname: str, atoms: Iterable[Sequence[str]]
@@ -145,7 +143,7 @@ class TaintSolver:
         for qualname in sorted(self.table.functions):
             fn = self.table.functions[qualname]
             relpath = self.table.module_of[qualname]
-            if relpath in SANCTIONED_SOURCE_MODULES:
+            if relpath in CLOCK_SEAMS:
                 continue
             for sink in fn.sinks:
                 sources = self.eval_atoms(qualname, sink.atoms)

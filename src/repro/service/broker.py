@@ -48,6 +48,7 @@ from repro.faults import run_campaign
 from repro.mcu.arch import get_arch
 from repro.obs import get_metrics, get_tracer
 from repro.service.cache import ResultCache
+from repro.service.errors import ServiceOverloaded
 from repro.service.queries import (
     SERVICE_FORMAT_VERSION,
     Query,
@@ -76,39 +77,43 @@ class _Ticket:
     done: threading.Event = field(default_factory=threading.Event)
     payload: Optional[dict] = None
     error: Optional[BaseException] = None
-    callbacks: List[Callable[["_Ticket"], None]] = field(default_factory=list)
+    #: Callbacks awaiting delivery; None once delivery has claimed them.
+    callbacks: Optional[List[Callable[["_Ticket"], None]]] = field(
+        default_factory=list
+    )
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add_done_callback(self, fn: Callable[["_Ticket"], None]) -> None:
         """Run ``fn(ticket)`` once the answer (or error) lands.
 
-        Runs immediately when the ticket is already done; otherwise at
+        Runs immediately when delivery has already begun; otherwise at
         delivery time on the dispatcher thread.  The asyncio front-end
         and the pool's admission release both hang off this hook.
         """
-        if self.done.is_set():
-            fn(self)
-            return
-        self.callbacks.append(fn)
-        if self.done.is_set():
-            # Delivery raced in between the check and the append; claim
-            # the callback back unless the dispatcher already drained it.
-            try:
-                self.callbacks.remove(fn)
-            except ValueError:
+        with self._lock:
+            if self.callbacks is not None:
+                self.callbacks.append(fn)
                 return
-            fn(self)
+        fn(self)
 
     def finish(
         self,
         payload: Optional[dict] = None,
         error: Optional[BaseException] = None,
     ) -> None:
-        """Deliver the answer: set state, wake waiters, drain callbacks."""
+        """Deliver the answer: set state, run callbacks, then wake waiters.
+
+        Callbacks run before ``done`` is set, so a thread woken by
+        :meth:`ServiceBroker.result` sees their effects: a pool's
+        admission slot is already free when its answer is collected.
+        """
         self.payload = payload
         self.error = error
+        with self._lock:
+            callbacks, self.callbacks = self.callbacks or [], None
+        for fn in callbacks:
+            fn(self)
         self.done.set()
-        while self.callbacks:
-            self.callbacks.pop(0)(self)
 
 
 class ServiceBroker:
@@ -222,10 +227,29 @@ class ServiceBroker:
         """Submit a burst of queries, then collect answers in order.
 
         Submitting everything before waiting lets the dispatcher see the
-        whole burst as few batches, maximizing coalescing.
+        whole burst as few batches, maximizing coalescing.  When a
+        submit sheds (a :class:`~repro.service.shard.ShardPool` at its
+        inflight bound), the burst's oldest outstanding answer is
+        collected, which frees its slot, and the submit is retried; with
+        none of the burst's own tickets outstanding, the shed is raised.
         """
-        tickets = [self.submit(q) for q in queries]
-        return [self.result(t, timeout=timeout) for t in tickets]
+        tickets: List[_Ticket] = []
+        answers: List[dict] = []
+        for query in queries:
+            while True:
+                try:
+                    tickets.append(self.submit(query))
+                    break
+                except ServiceOverloaded:
+                    if len(answers) == len(tickets):
+                        raise
+                    answers.append(
+                        self.result(tickets[len(answers)], timeout=timeout)
+                    )
+        answers.extend(
+            self.result(t, timeout=timeout) for t in tickets[len(answers):]
+        )
+        return answers
 
     def stats(self) -> dict:
         """JSON-friendly service counters (cache, batches, queue depth)."""

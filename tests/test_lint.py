@@ -8,6 +8,7 @@ the documentation: the architecture mermaid arrows and rule table, and
 the ``docs/static-analysis.md`` catalog.
 """
 
+import ast
 import json
 import re
 import textwrap
@@ -28,6 +29,7 @@ from repro.lint import (
     run_lint,
     scan_root,
 )
+from repro.lint.rules import NodeIndex
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -73,6 +75,63 @@ def test_registry_ships_the_documented_rules():
 def test_unknown_rule_id_is_an_error():
     with pytest.raises(KeyError, match="unknown rule id"):
         run_lint(rules=["not-a-rule"])
+
+
+# --------------------------------------------------------------- node index
+
+
+def test_node_index_orders_parents_and_scopes_every_node():
+    tree = ast.parse(textwrap.dedent("""
+        @decorate(1)
+        def f(x=2):
+            class Inner:
+                y = 3 * x
+            return lambda z: -z
+
+        async def g():
+            await h()
+    """))
+    index = NodeIndex(tree)
+    # CPython shares one ``Load``/``Mult``/``USub``... instance between
+    # parents; the index leaves those out.
+    shared = (ast.expr_context, ast.boolop, ast.operator, ast.unaryop,
+              ast.cmpop)
+
+    def children(node):
+        return [c for c in ast.iter_child_nodes(node)
+                if not isinstance(c, shared)]
+
+    def pre_order(node):
+        yield node
+        for child in children(node):
+            yield from pre_order(child)
+
+    walked = [n for n in ast.walk(tree) if not isinstance(n, shared)]
+    assert len(index.nodes) == len(walked)
+    assert {id(n) for n in index.nodes} == {id(n) for n in walked}
+    assert index.nodes == list(pre_order(tree))
+
+    assert tree not in index.parent
+    for node in walked:
+        for child in children(node):
+            assert index.parent[child] is node
+
+    f, g = tree.body
+    inner, ret = f.body
+    lam = ret.value
+    # A decorator and a default count as enclosed by their def.
+    enclosed = {f.decorator_list[0], f.args.defaults[0], inner,
+                inner.body[0], lam, lam.body, g.body[0]}
+    assert enclosed <= index.enclosed
+    assert not {tree, f, g} & index.enclosed
+    assert index.enclosed == {
+        node for node in walked
+        if any(isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda))
+               for a in index.ancestors(node))
+    }
+    assert list(index.ancestors(lam.body)) == [lam, ret, f, tree]
+    assert list(index.ancestors(tree)) == []
 
 
 # ------------------------------------------------------------ no-wall-clock
@@ -121,6 +180,21 @@ def test_datetime_now_flagged(tmp_path):
     }, rules=["no-wall-clock"])
     assert len(findings) == 1
     assert "datetime.datetime.now" in findings[0].message
+
+
+def test_later_module_level_alias_wins_over_earlier_local_one(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "core/stamp.py": """
+            def parse(text):
+                import datetime as clock
+                return clock.date.fromisoformat(text)
+
+            import time as clock
+
+            STAMP = clock.time()
+        """,
+    }, rules=["no-wall-clock"])
+    assert [f.message for f in findings] == ["wall-clock use of time.time"]
 
 
 # ---------------------------------------------------------- no-unseeded-rng

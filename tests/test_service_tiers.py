@@ -280,9 +280,10 @@ def test_burst_is_byte_identical_at_any_spill_state(
     capacity=st.integers(1, 8),
     spill=st.booleans(),
     over_tcp=st.booleans(),
+    max_inflight=st.integers(1, 24),
 )
 def test_served_answer_equals_the_direct_answer(
-    direct_answers, asks, capacity, spill, over_tcp
+    direct_answers, asks, capacity, spill, over_tcp, max_inflight
 ):
     cells = distinct_cells()
     queries = [
@@ -295,6 +296,7 @@ def test_served_answer_equals_the_direct_answer(
             overrides=OVERRIDES,
             capacity=capacity,
             spill_dir=Path(tmp) if spill else None,
+            max_inflight=max_inflight,
         ) as pool:
             if over_tcp:
                 with ServiceServer(pool, port=0) as server, \
@@ -306,6 +308,27 @@ def test_served_answer_equals_the_direct_answer(
         assert pool.stats()["admission"]["inflight"] == 0
     for (index, _), answer in zip(asks, answers):
         assert json.dumps(answer) == direct_answers[index]
+
+
+def test_collected_answer_has_freed_its_slot(direct_answers):
+    """A burst past the bound reuses each collected answer's slot.
+
+    The slot release is slowed down: a waiter woken before its ticket's
+    release ran would retry into a full pool and shed.
+    """
+    cells = distinct_cells()
+    with ShardPool(config=CONFIG, overrides=OVERRIDES,
+                   max_inflight=1) as pool:
+        release = pool._admission.release
+
+        def slow_release(priority):
+            time.sleep(0.01)
+            release(priority)
+
+        pool._admission.release = slow_release
+        answers = pool.ask_many(cells * 2, timeout=300)
+    assert pool.stats()["admission"]["inflight"] == 0
+    assert [json.dumps(a) for a in answers] == direct_answers * 2
 
 
 # ----------------------------------------------------- admission control
