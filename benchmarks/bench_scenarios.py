@@ -11,7 +11,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.api import generate_scenarios, run_scenarios
+from repro.api import EngineOptions, generate_scenarios, run_scenarios
 
 BASELINE = Path(__file__).parent.parent / "BENCH_scenarios.json"
 
@@ -34,11 +34,12 @@ def test_scenarios_bench(benchmark, save_artifact):
     sset = generate_scenarios(tier="b", count=CAMPAIGN_COUNT, seed=SEED)
 
     serial = benchmark.pedantic(
-        lambda: _timed(lambda: run_scenarios(sset, jobs=1)),
+        lambda: _timed(lambda: run_scenarios(sset, EngineOptions(jobs=1))),
         rounds=1, iterations=1,
     )
     serial_report, serial_s = serial
-    pooled_report, pooled_s = _timed(lambda: run_scenarios(sset, jobs=4))
+    pooled_report, pooled_s = _timed(
+        lambda: run_scenarios(sset, EngineOptions(jobs=4)))
 
     # The scaling knob must not change the answer.
     assert json.dumps(serial_report, sort_keys=True) == \

@@ -1,22 +1,17 @@
-"""Columnar-pricer bench: Table IV pricing speedup + campaign macro.
+"""Columnar-pricer bench: Table IV pricing speedup.
 
-Seeds ``BENCH_vecprice.json`` at the repo root with two figures:
-
-* **micro** — the full Table IV pricing grid (every suite kernel x every
-  characterization core of both ISAs x cache on/off) priced through
-  ``repro.api.price_batch`` with ``vectorize=True`` vs the serial
-  per-cell reference (``vectorize=False``).  Wall time is best-of-N on
-  warm traces so only the price stage is measured; the headline is the
-  vectorized speedup (the ROADMAP target is >= 10x).
-* **macro** — a seeded Tier-B scenario campaign run end-to-end with each
-  price path, plus the committed campaign baseline from
-  ``BENCH_scenarios.json`` for cross-reference.  Campaigns also solve,
-  simulate missions, and build reports, so the end-to-end win is
-  necessarily smaller than the micro speedup.
+Seeds ``BENCH_vecprice.json`` at the repo root with the full Table IV
+pricing grid (every suite kernel x every characterization core of both
+ISAs x cache on/off) priced through ``repro.api.price_batch`` with
+``vectorize=True`` vs the serial per-cell reference
+(``vectorize=False``).  Wall time is best-of-N on warm traces so only
+the price stage is measured; the headline is the vectorized speedup
+(the ROADMAP target is >= 10x).
 
 Byte-identity is asserted on every run — the vectorized and serial
-results must serialize identically and render the identical Table IV
-text — so the bench doubles as an equivalence smoke test.  CI runs
+results must serialize identically, and the Table IV text rendered from
+the engine's sweep must equal the text rendered from the serial
+re-price — so the bench doubles as an equivalence smoke test.  CI runs
 ``python benchmarks/bench_vecprice.py --quick`` (a reduced grid with a
 5x regression gate); a full run regenerates the committed baseline.
 """
@@ -30,11 +25,10 @@ from pathlib import Path
 from repro.analysis import tables
 from repro.api import (
     EngineOptions,
+    SweepResults,
     SweepSpec,
     TraceCache,
-    generate_scenarios,
     price_batch,
-    run_scenarios,
     sweep,
 )
 from repro.backends import characterization_archs
@@ -42,7 +36,6 @@ from repro.core.config import HarnessConfig
 from repro.mcu.cache import CACHE_OFF, CACHE_ON
 
 BASELINE = Path(__file__).parent.parent / "BENCH_vecprice.json"
-SCENARIOS_BASELINE = Path(__file__).parent.parent / "BENCH_scenarios.json"
 
 #: Reduced sequence lengths (same as bench_table4_dynamic) keep the
 #: one-time solve pass tractable; pricing cost is solve-independent.
@@ -70,8 +63,6 @@ QUICK_ARCH_NAMES = ("m4", "rv32imafc")
 
 REPS = 3
 TIMING_ROUNDS = 5
-CAMPAIGN_COUNT = 12
-CAMPAIGN_SEED = 42
 
 
 def _grid(quick: bool):
@@ -137,17 +128,15 @@ def _micro(quick: bool) -> dict:
             "vectorized pricing diverged from the serial reference"
         )
 
-    # The rendered table must also match: re-sweep the warm cache through
-    # each engine price path and diff the Table IV text.
-    def table_text(vectorize: bool) -> str:
-        results = sweep(
-            spec,
-            options=EngineOptions(trace_cache=cache, vectorize=vectorize),
+    # The rendered table must also match: the engine's sweep over the
+    # warm cache against the serial re-price.
+    engine = sweep(spec, options=EngineOptions(trace_cache=cache))
+    if tables.render_table4(engine, kernels=kernels) != tables.render_table4(
+        SweepResults(results=serial), kernels=kernels
+    ):
+        raise AssertionError(
+            "Table IV text differs between the engine and the serial re-price"
         )
-        return tables.render_table4(results, kernels=kernels)
-
-    if table_text(True) != table_text(False):
-        raise AssertionError("Table IV text differs between price paths")
 
     priced = sum(1 for r in vectorized if r.fits)
     return {
@@ -169,50 +158,10 @@ def _micro(quick: bool) -> dict:
     }
 
 
-def _macro(quick: bool) -> dict:
-    """End-to-end campaign wall time with each price path."""
-    sset = generate_scenarios(
-        tier="b", count=4 if quick else CAMPAIGN_COUNT, seed=CAMPAIGN_SEED
-    )
-    # Interleaved rounds: campaigns are solve/mission dominated, so
-    # machine drift between back-to-back blocks would swamp the ~1 ms
-    # price-stage difference.
-    rounds = 1 if quick else 2
-    fast_s = slow_s = float("inf")
-    fast_report = slow_report = None
-    for _ in range(rounds):
-        fast_report, dt = _best_of(lambda: run_scenarios(sset, vectorize=True), 1)
-        fast_s = min(fast_s, dt)
-        slow_report, dt = _best_of(lambda: run_scenarios(sset, vectorize=False), 1)
-        slow_s = min(slow_s, dt)
-    if json.dumps(fast_report, sort_keys=True) != json.dumps(
-        slow_report, sort_keys=True
-    ):
-        raise AssertionError("campaign reports differ between price paths")
-
-    macro = {
-        "scenario_count": len(sset.scenarios),
-        "seed": CAMPAIGN_SEED,
-        "wall_s_vectorized": round(fast_s, 3),
-        "wall_s_serial": round(slow_s, 3),
-        "reports_identical": True,
-    }
-    # Cross-reference the scenario subsystem's committed campaign baseline
-    # (solve + mission + report, priced serially when it was seeded).
-    if SCENARIOS_BASELINE.exists():
-        campaign = json.loads(SCENARIOS_BASELINE.read_text())["campaign"]
-        macro["bench_scenarios_baseline"] = {
-            "count": campaign["count"],
-            "wall_s_jobs1": campaign["wall_s_jobs1"],
-        }
-    return macro
-
-
 def run_bench(quick: bool = False, write: bool = True) -> dict:
     baseline = {
         "mode": "quick" if quick else "full",
         "micro_table4_pricing": _micro(quick),
-        "macro_campaign": _macro(quick),
     }
     if write:
         BASELINE.write_text(
@@ -235,7 +184,6 @@ def test_vecprice_bench(benchmark, save_artifact):
     )
     micro = baseline["micro_table4_pricing"]
     assert micro["byte_identical"] and micro["table4_text_identical"]
-    assert baseline["macro_campaign"]["reports_identical"]
     # Regression gate: full-grid runs land >= 10x; the reduced grid on a
     # noisy worker must still clear 5x.
     assert micro["speedup"] >= 5.0, micro

@@ -19,7 +19,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.api import CampaignSpec, build_report, get_fault, run_campaign
+from repro.api import (
+    CampaignSpec,
+    EngineOptions,
+    build_report,
+    get_fault,
+    run_campaign,
+)
 
 #: Fault models the study sweeps by default (one campaign each).
 STUDY_FAULTS: Tuple[str, ...] = ("brownout", "battery", "dvfs", "imu-dropout")
@@ -46,6 +52,7 @@ def resilience_matrix(
     "report": <full resilience report>}``.  Fault models without an arch
     seam (pure sensor faults) skip the kernel grid automatically.
     """
+    options = EngineOptions(jobs=jobs)
     rows: List[Dict] = []
     for fault_name in faults:
         fault = get_fault(fault_name)
@@ -57,7 +64,7 @@ def resilience_matrix(
             archs=archs,
             seed=seed,
         )
-        report = build_report(run_campaign(spec, jobs=jobs))
+        report = build_report(run_campaign(spec, options=options))
         rows.append({
             "fault": fault_name,
             "scores": {
@@ -91,7 +98,8 @@ def brownout_envelope(
         fault="brownout", severities=grid, missions=("hover",),
         kernels=kernels, archs=archs, seed=seed,
     )
-    report = build_report(run_campaign(spec, jobs=jobs))
+    report = build_report(run_campaign(spec,
+                                       options=EngineOptions(jobs=jobs)))
     rows: List[Dict] = []
     for arch in archs:
         mission_fail = None

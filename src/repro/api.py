@@ -228,13 +228,12 @@ def run_mission(
 
 def run_campaign(
     spec: CampaignSpec,
-    jobs: int = 1,
     options: Optional[EngineOptions] = None,
 ) -> CampaignResult:
     """Execute one fault campaign (kernel grid + mission grid)."""
     from repro.faults import run_campaign as _run_campaign
 
-    return _run_campaign(spec, jobs=jobs, options=options)
+    return _run_campaign(spec, options=options)
 
 
 def price_batch(items, *, vectorize: bool = True) -> list:

@@ -152,15 +152,10 @@ def _observation(args, report: bool = False):
 
 
 def _engine_options(args):
-    """Build EngineOptions from the shared --jobs/--cache-dir/... flags."""
+    """Build EngineOptions from the shared --jobs/--cache-dir flags."""
     from repro.engine import EngineOptions
 
-    return EngineOptions(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not getattr(args, "no_cache", False),
-        vectorize=getattr(args, "price", "vector") != "serial",
-    )
+    return EngineOptions(jobs=args.jobs, cache_dir=args.cache_dir)
 
 
 def _cmd_sweep(args) -> int:
@@ -296,10 +291,7 @@ def _cmd_faults(args) -> int:
         seed=args.seed,
         reps=args.reps,
     )
-    campaign = run_campaign(
-        spec, jobs=args.jobs,
-        options=_engine_options(args) if kernels else None,
-    )
+    campaign = run_campaign(spec, options=_engine_options(args))
     report = build_report(campaign)
     print(render_report(report))
     if args.out:
@@ -311,15 +303,14 @@ def _cmd_faults(args) -> int:
 def _cmd_serve(args) -> int:
     import time
 
-    from repro.api import EngineOptions, ServiceServer, ShardPool
+    from repro.api import ServiceServer, ShardPool
 
     pool = ShardPool(
         config=HarnessConfig(reps=args.reps, warmup_reps=args.warmup),
-        engine_options=EngineOptions(jobs=args.jobs, cache_dir=args.cache_dir),
+        engine_options=_engine_options(args),
         capacity=args.capacity,
         spill_dir=args.spill_dir,
         max_inflight=args.max_inflight,
-        campaign_jobs=args.jobs,
     )
     server = ServiceServer(pool, host=args.host, port=args.port)
     host, port = server.address
@@ -432,8 +423,7 @@ def _cmd_scenarios(args) -> int:
     else:
         sset = generate_scenarios(tier=args.tier, count=args.count,
                                   seed=args.seed)
-    report = run_scenarios(sset, jobs=args.jobs,
-                           options=_engine_options(args))
+    report = run_scenarios(sset, options=_engine_options(args))
     print(render_report(report))
     if args.out:
         path = save_report(report, args.out)
@@ -522,12 +512,6 @@ def _add_sweep_args(p: argparse.ArgumentParser) -> None:
                    help="parallel solve workers (default: 1 = serial)")
     p.add_argument("--cache-dir", default=None,
                    help="persistent trace-cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the trace cache (always re-solve)")
-    p.add_argument("--price", choices=("vector", "serial"), default="vector",
-                   help="price stage: columnar batch (default) or the "
-                        "serial per-cell reference; results are "
-                        "byte-identical either way")
     _add_obs_args(p)
 
 
@@ -564,8 +548,6 @@ def _add_faults_args(p: argparse.ArgumentParser) -> None:
                    help="parallel workers for solves and mission cells")
     p.add_argument("--cache-dir", default=None,
                    help="persistent trace-cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the trace cache")
     p.add_argument("--out", default=None,
                    help="write the resilience report JSON here")
     _add_obs_args(p)
@@ -580,7 +562,8 @@ def _add_serve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int, default=DEFAULT_PORT,
                    help=f"TCP port (default: {DEFAULT_PORT}; 0 = ephemeral)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="engine solve workers behind the broker")
+                   help="engine workers behind the broker (kernel "
+                        "solves and campaign missions)")
     p.add_argument("--cache-dir", default=None,
                    help="persistent trace-cache directory")
     p.add_argument("--reps", type=int, default=3)
@@ -676,8 +659,6 @@ def _add_scenarios_args(p: argparse.ArgumentParser) -> None:
                      help="parallel workers for solves and mission jobs")
     run.add_argument("--cache-dir", default=None,
                      help="persistent trace-cache directory")
-    run.add_argument("--no-cache", action="store_true",
-                     help="disable the trace cache")
     run.add_argument("--out", default=None,
                      help="write the campaign report JSON here")
     _add_obs_args(run)

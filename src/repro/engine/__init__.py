@@ -11,9 +11,10 @@ that :func:`sweep_summary` turns into a report.  The trace cache is also
 the resume path: each solve is written to ``cache_dir`` as it finishes,
 so a killed sweep rerun with the same directory re-solves only what had
 not finished.  The price stage runs through the columnar
-:mod:`repro.vecprice` batch pricer by default
-(``EngineOptions(vectorize=False)`` restores the serial per-cell
-reference; both produce byte-identical results — ``docs/pricing.md``).
+:mod:`repro.vecprice` batch pricer, byte-identical to the serial
+per-cell reference :func:`price_profile` (``docs/pricing.md``).
+:class:`EngineOptions` is the one run configuration: its ``jobs`` sizes
+both the kernel-solve pool and a campaign's mission pool.
 
 Typical use::
 

@@ -10,15 +10,12 @@ Orchestrates a planned sweep end to end:
    its profile is written to the cache as soon as it finishes.  A killed
    sweep rerun with the same ``cache_dir`` therefore re-solves only the
    jobs that had not finished.
-3. **Price** — every cell is priced from its job's profile in the
-   canonical (arch, cache, kernel) order, producing a
-   :class:`~repro.core.experiment.SweepResults` whose ordering and values
-   are bit-identical to the serial driver's.
-   By default the whole stage runs through the columnar
-   :func:`repro.vecprice.price_batch` pricer (one batched matrix op for
-   every cell, byte-identical to per-cell
-   :func:`~repro.engine.profile.price_profile` — see ``docs/pricing.md``);
-   ``EngineOptions(vectorize=False)`` keeps the serial reference path.
+3. **Price** — every fitting cell is priced from its job's profile in
+   one columnar :func:`repro.vecprice.price_batch` call (byte-identical
+   to per-cell :func:`~repro.engine.profile.price_profile` — see
+   ``docs/pricing.md``) and collated in the canonical (arch, cache,
+   kernel) order, producing a :class:`~repro.core.experiment.SweepResults`
+   whose ordering and values are bit-identical to the serial driver's.
 
 Every count and timing lands in one :class:`~repro.obs.MetricsRegistry`:
 the ``engine.*`` counters, the ``engine.jobs`` gauge and the
@@ -36,7 +33,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Union
 
 from repro.engine.planner import Cell, SolveJob, SweepPlan, build_plan
-from repro.engine.profile import KernelProfile, price_profile, skip_result, solve_profile
+from repro.engine.profile import KernelProfile, skip_result, solve_profile
 from repro.engine.trace_cache import CacheStats, TraceCache
 from repro.obs import MetricsRegistry, get_metrics, get_tracer
 from repro.vecprice import price_batch
@@ -44,26 +41,21 @@ from repro.vecprice import price_batch
 
 @dataclass
 class EngineOptions:
-    """How to execute a planned sweep."""
+    """How to execute a sweep, a campaign, or the service's engine."""
 
-    #: Worker processes for kernel solves; 1 = serial in-process.
+    #: Worker processes for kernel solves and campaign missions; 1 =
+    #: serial in-process.
     jobs: int = 1
     #: Directory for the persistent trace cache; None = in-memory only.
     cache_dir: Optional[Union[str, Path]] = None
-    #: Disable the trace cache entirely (every job re-solves).
-    use_cache: bool = True
-    #: Share a pre-built cache instance (overrides cache_dir/use_cache).
+    #: Share a pre-built cache instance (overrides cache_dir).
     trace_cache: Optional[TraceCache] = None
-    #: Price cells through the columnar :mod:`repro.vecprice` batch path
-    #: (byte-identical to the serial reference, ~10x faster at campaign
-    #: scale); False falls back to per-cell ``price_profile``.
-    vectorize: bool = True
 
     def make_cache(self) -> TraceCache:
         """The trace cache these options describe (shared or fresh)."""
         if self.trace_cache is not None:
             return self.trace_cache
-        return TraceCache(cache_dir=self.cache_dir, enabled=self.use_cache)
+        return TraceCache(cache_dir=self.cache_dir)
 
 
 def _solve_job_worker(payload: tuple) -> dict:
@@ -206,66 +198,49 @@ def run_plan(
         profiles[job.key].solve_s * len(job.priced_cells) for job in pending
     ))
 
-    # Price every cell in canonical order.
+    # Price every fitting cell in one columnar batch, then collate in
+    # canonical order.
     stage_start = perf_counter()
     out = SweepResults()
     with tracer.span("engine.price", cat="engine", cells=len(plan.cells)):
-        # Vectorized path: price every priced cell in one columnar
-        # batch up front (byte-identical to per-cell price_profile),
-        # then drain the results through the same bookkeeping loop so
-        # ordering and metrics are indistinguishable from the serial
-        # path.
+        todo = [
+            cell for cell in plan.cells
+            if cell not in plan.job_of_kernel[cell.kernel].skip_cells
+        ]
         batched: Dict[Cell, object] = {}
-        if options.vectorize:
-            todo = [
-                cell for cell in plan.cells
-                if cell not in plan.job_of_kernel[cell.kernel].skip_cells
-            ]
-            if todo:
-                with tracer.span("engine.price_batch", cat="engine",
-                                 cells=len(todo)):
-                    priced = price_batch([
-                        (
-                            profiles[plan.job_of_kernel[cell.kernel].key],
-                            plan.archs[cell.arch],
-                            plan.caches[cell.cache],
-                        )
-                        for cell in todo
-                    ])
-                batched = dict(zip(todo, priced))
+        if todo:
+            with tracer.span("engine.price_batch", cat="engine",
+                             cells=len(todo)):
+                priced = price_batch([
+                    (
+                        profiles[plan.job_of_kernel[cell.kernel].key],
+                        plan.archs[cell.arch],
+                        plan.caches[cell.cache],
+                    )
+                    for cell in todo
+                ])
+            batched = dict(zip(todo, priced))
         for cell in plan.cells:
             job = plan.job_of_kernel[cell.kernel]
-            arch = plan.archs[cell.arch]
-            cache_config = plan.caches[cell.cache]
             if cell in job.skip_cells:
-                result = skip_result(
+                out.add(skip_result(
                     job.problem_name, job.scalar, job.dataset, job.stage,
-                    job.footprint, arch, cache_config,
-                )
-                out.add(result)
+                    job.footprint, plan.archs[cell.arch],
+                    plan.caches[cell.cache],
+                ))
                 metrics.inc("engine.cells_skipped")
-            else:
-                if options.vectorize:
-                    result = batched.pop(cell)
-                elif tracer.enabled:
-                    with tracer.span("engine.price_cell", cat="engine",
-                                     kernel=cell.kernel, arch=cell.arch,
-                                     cache=cell.cache):
-                        result = price_profile(
-                            profiles[job.key], arch, cache_config
-                        )
-                else:
-                    result = price_profile(profiles[job.key], arch, cache_config)
-                out.add(result)
-                if metrics.enabled:
-                    metrics.inc("engine.cells_run")
-                    if result.fits and result.runs:
-                        metrics.observe("engine.cell_latency_us",
-                                        result.unit_latency_us)
-                        metrics.observe("engine.cell_energy_uj",
-                                        result.unit_energy_uj)
-                        metrics.inc(f"engine.energy_uj.{cell.arch}",
+                continue
+            result = batched.pop(cell)
+            out.add(result)
+            if metrics.enabled:
+                metrics.inc("engine.cells_run")
+                if result.fits and result.runs:
+                    metrics.observe("engine.cell_latency_us",
+                                    result.unit_latency_us)
+                    metrics.observe("engine.cell_energy_uj",
                                     result.unit_energy_uj)
+                    metrics.inc(f"engine.energy_uj.{cell.arch}",
+                                result.unit_energy_uj)
     metrics.observe("engine.price_stage_wall_s", perf_counter() - stage_start)
     return out
 

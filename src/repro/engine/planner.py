@@ -157,53 +157,18 @@ def _make_job(kernel: str, kwargs: dict, config: HarnessConfig) -> SolveJob:
     )
 
 
-def _assign_cell(cell: Cell, job: SolveJob, arch: ArchSpec) -> None:
-    """File a cell under its job as priced work or a planned memory skip."""
-    if check_fit(job.footprint, arch).fits:
-        job.priced_cells.append(cell)
-    else:
-        job.skip_cells.append(cell)
-
-
 def build_plan(spec) -> SweepPlan:
     """Expand a :class:`~repro.core.experiment.SweepSpec` into a plan.
 
-    The canonical cell order matches the serial driver's loop nest
-    (arch, then cache state, then kernel) so engine results collate into
-    the exact sequence ``run_sweep`` has always produced.
+    The spec's cross product, in the serial driver's loop nest (arch,
+    then cache state, then kernel), planned by :func:`build_cell_plan`,
+    so engine results collate into the exact sequence ``run_sweep`` has
+    always produced.
     """
-    config = spec.config.validated()
-    archs = {arch.name: arch for arch in spec.archs}
-    caches = {cache.label: cache for cache in spec.caches}
-
-    jobs: List[SolveJob] = []
-    job_of_kernel: Dict[str, SolveJob] = {}
-    for kernel in spec.kernels:
-        if kernel in job_of_kernel:
-            continue
-        job = _make_job(kernel, spec.factory_kwargs(kernel), config)
-        jobs.append(job)
-        job_of_kernel[kernel] = job
-
-    cells: List[Cell] = []
-    seen: set = set()
-    for arch in spec.archs:
-        for cache in spec.caches:
-            for kernel in spec.kernels:
-                cell = Cell(kernel, arch.name, cache.label)
-                if cell in seen:
-                    continue
-                seen.add(cell)
-                cells.append(cell)
-                _assign_cell(cell, job_of_kernel[kernel], arch)
-
-    return SweepPlan(
-        cells=cells,
-        jobs=jobs,
-        archs=archs,
-        caches=caches,
-        job_of_kernel=job_of_kernel,
-        config=config,
+    return build_cell_plan(
+        ((kernel, arch, cache) for arch in spec.archs
+         for cache in spec.caches for kernel in spec.kernels),
+        config=spec.config, overrides=spec.overrides,
     )
 
 
@@ -214,18 +179,18 @@ def build_cell_plan(
 ) -> SweepPlan:
     """Expand explicit ``(kernel, ArchSpec, CacheConfig)`` requests into a plan.
 
-    The batch entry point for the query service: where :func:`build_plan`
-    expands the full cross product of a :class:`SweepSpec`, this plans
-    exactly the cells requested — a coalesced batch of queries covers an
-    arbitrary, possibly sparse subset of the sweep grid, and planning the
-    cross product would solve kernels nobody asked about.
+    The one planner: :func:`build_plan` hands it a spec's full cross
+    product, and the query service a coalesced batch of queries, which
+    covers an arbitrary, possibly sparse subset of the sweep grid —
+    planning the cross product would solve kernels nobody asked about.
 
     Duplicate requests collapse to one cell (first occurrence fixes the
-    collation position); kernels still share one :class:`SolveJob` per
-    configuration, so a batch of N queries against one kernel costs one
-    solve.  Because each cell prices independently from its job's profile,
-    results are byte-identical to the same cells planned via
-    :func:`build_plan` — batch composition cannot leak between cells.
+    collation position); kernels share one :class:`SolveJob` per
+    configuration, made in first-seen order, so a batch of N queries
+    against one kernel costs one solve.  Because each cell prices
+    independently from its job's profile, batch composition cannot leak
+    between cells.  A cell that cannot fit its arch's memory is filed
+    as a planned skip.
     """
     config = (config if config is not None else HarnessConfig()).validated()
     overrides = overrides or {}
@@ -249,11 +214,15 @@ def build_cell_plan(
         cells.append(cell)
         archs.setdefault(arch.name, arch)
         caches.setdefault(cache.label, cache)
-        if kernel not in job_of_kernel:
+        job = job_of_kernel.get(kernel)
+        if job is None:
             job = _make_job(kernel, factory_kwargs(kernel), config)
             jobs.append(job)
             job_of_kernel[kernel] = job
-        _assign_cell(cell, job_of_kernel[kernel], arch)
+        if check_fit(job.footprint, arch).fits:
+            job.priced_cells.append(cell)
+        else:
+            job.skip_cells.append(cell)
 
     return SweepPlan(
         cells=cells,

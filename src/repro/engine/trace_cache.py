@@ -95,7 +95,7 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total ``get`` calls that went through the enabled cache."""
+        """Total ``get`` calls."""
         return self.hits + self.misses
 
     @property
@@ -119,7 +119,6 @@ class TraceCache:
     """Two-level (memory + optional disk) store of kernel profiles."""
 
     cache_dir: Optional[Union[str, Path]] = None
-    enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
     _memory: Dict[str, KernelProfile] = field(default_factory=dict, repr=False)
 
@@ -141,8 +140,6 @@ class TraceCache:
             (including torn/stale/foreign disk entries, which are
             treated as misses and later overwritten).
         """
-        if not self.enabled:
-            return None
         if key in self._memory:
             self.stats.memory_hits += 1
             return self._memory[key]
@@ -161,8 +158,6 @@ class TraceCache:
 
     def put(self, key: str, profile: KernelProfile) -> None:
         """Store a profile in memory and (when configured) on disk."""
-        if not self.enabled:
-            return
         self._memory[key] = profile
         if self._disk is not None:
             self._disk.write(key, profile.to_dict())
@@ -180,8 +175,6 @@ class TraceCache:
         return dict(self._memory)
 
     def __contains__(self, key: str) -> bool:
-        if not self.enabled:
-            return False
         return key in self._memory or (
             self._disk is not None and key in self._disk
         )

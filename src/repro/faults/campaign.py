@@ -11,7 +11,9 @@ solve key ignores the arch, each kernel's real compute runs **once** and
 is re-priced across every severity, exactly like the multi-core sweep it
 structurally is.  Its **mission cells** fly the closed-loop stack with
 the fault's per-step :class:`~repro.closedloop.runner.MissionFaultHook`,
-fanned out across a process pool when ``jobs > 1``.
+fanned out across a process pool when the
+:class:`~repro.engine.EngineOptions` ``jobs`` is above 1 — the same
+width that sizes the kernel-solve pool.
 
 Determinism contract: job seeds derive from ``SeedSequence([base_seed,
 index])``; workers return plain data; results collate in job order;
@@ -321,26 +323,19 @@ def run_kernel_grid(
     return grid
 
 
-def run_campaign(
-    spec: FaultCampaignSpec,
-    jobs: int = 1,
-    options=None,
-) -> CampaignResult:
+def run_campaign(spec: FaultCampaignSpec, options=None) -> CampaignResult:
     """Execute one full fault campaign (kernel grid + mission grid).
 
-    ``options`` are :class:`~repro.engine.EngineOptions` for the kernel
-    sweep (workers, trace cache); ``jobs`` additionally fans the mission
-    cells across a process pool.  The same spec and seed yield a
-    byte-identical :class:`CampaignResult` for any ``jobs``, and a killed
-    campaign rerun with the same ``cache_dir`` re-solves only the kernels
-    it had not finished.
+    ``options`` are the :class:`~repro.engine.EngineOptions` it runs
+    under: ``jobs`` sizes the kernel-solve pool and the mission pool,
+    and the trace cache serves the kernel sweep.  The same spec and seed
+    yield a byte-identical :class:`CampaignResult` for any ``jobs``, and
+    a killed campaign rerun with the same ``cache_dir`` re-solves only
+    the kernels it had not finished.
     """
     fault = get_fault(spec.fault)
     severities = spec.severity_grid()
-    if options is None and jobs > 1:
-        from repro.engine import EngineOptions
-
-        options = EngineOptions(jobs=jobs)
+    jobs = options.jobs if options is not None else 1
     tracer = get_tracer()
     with tracer.span("faults.campaign", cat="faults", fault=fault.name,
                      severities=len(severities)):

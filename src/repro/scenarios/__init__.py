@@ -50,26 +50,16 @@ from repro.scenarios.spec import (
 from repro.scenarios.tier_a import tier_a_names, tier_a_set
 
 
-def run_scenarios(
-    sset: ScenarioSet,
-    jobs: int = 1,
-    options=None,
-    *,
-    vectorize: bool = True,
-) -> dict:
+def run_scenarios(sset: ScenarioSet, options=None) -> dict:
     """Execute a scenario set and return its full campaign report.
 
     The one-call form the facade and CLI use: validates and runs the set
-    (kernel grid + mission jobs) and derives the Pareto / failure-rate
-    report, all deterministically — the same set yields a byte-identical
-    report for any ``jobs`` and either price path (``vectorize`` picks
-    the columnar batch pricer, the default, over the serial per-cell
-    reference).
+    (kernel grid + mission jobs) under ``options``
+    (:class:`~repro.engine.EngineOptions`) and derives the Pareto /
+    failure-rate report, all deterministically — the same set yields a
+    byte-identical report for any ``options.jobs``.
     """
-    result = run_scenario_set(
-        sset, jobs=jobs, options=options, vectorize=vectorize,
-    )
-    return build_report(result)
+    return build_report(run_scenario_set(sset, options=options))
 
 
 __all__ = [

@@ -8,7 +8,8 @@ for the campaign executor (:mod:`repro.faults.campaign`):
   references, all sweeps sharing one trace cache so a kernel's compute
   solves once per scalar for the whole campaign.
 * **mission scenarios** flatten into per-agent mission jobs (a swarm is
-  N jobs scored jointly), fanned across a process pool when ``jobs > 1``.
+  N jobs scored jointly), fanned across a process pool when the
+  :class:`~repro.engine.EngineOptions` ``jobs`` is above 1.
 
 Agent seeds derive from ``SeedSequence([scenario_seed, agent])`` and
 seed both the fault hook and the simulated body, so the same set yields
@@ -155,26 +156,19 @@ def _kernel_grid(
 
 def run_scenario_set(
     sset: ScenarioSet,
-    jobs: int = 1,
     options=None,
-    *,
-    vectorize: bool = True,
 ) -> ScenarioCampaignResult:
     """Execute one validated scenario set (kernel grid + mission jobs).
 
+    ``options`` are the :class:`~repro.engine.EngineOptions` it runs
+    under: ``jobs`` sizes the kernel-solve pool and the mission pool.
     The campaign's phase spans land on a per-tier lane
     (``scenarios:tier-<tier>``) so a mixed trace separates Tier-A anchor
-    runs from Tier-B synthetics at a glance.  The same set and seed yield
-    a byte-identical result for any ``jobs`` — and for either price
-    path: ``vectorize`` picks the engine's columnar batch pricer
-    (default) or the serial per-cell reference, and is ignored when an
-    explicit ``options`` already carries the choice.
+    runs from Tier-B synthetics at a glance.  The same set and seed
+    yield a byte-identical result for any ``jobs``.
     """
     sset = sset.validated()
-    if options is None and (jobs > 1 or not vectorize):
-        from repro.engine import EngineOptions
-
-        options = EngineOptions(jobs=jobs, vectorize=vectorize)
+    jobs = options.jobs if options is not None else 1
     tracer = get_tracer()
     metrics = get_metrics()
     if metrics.enabled:

@@ -19,6 +19,9 @@ Concurrency model — one bounded queue, one dispatcher:
 * Because all solving happens on the dispatcher thread, identical
   queries can never race into duplicate solves — the batch dedup plus
   the serialized dispatch is the single-flight lock.
+* One :class:`~repro.engine.EngineOptions` says how the engine runs:
+  its ``jobs`` sizes both a batch's kernel-solve pool and a campaign
+  query's mission pool, and its trace cache is the L3 tier.
 
 Determinism: the dispatcher only routes; characterize answers come from
 the same planner/pricer as ``run_sweep`` (pricing is per-cell pure, so
@@ -124,13 +127,12 @@ class ServiceBroker:
             under (and part of every query's content address).
         overrides: Kernel factory overrides, same schema as
             :class:`~repro.core.experiment.SweepSpec.overrides`.
-        engine_options: Engine execution options; the broker pins one
-            shared trace cache onto them so successive batches reuse
-            solve profiles.
+        engine_options: Engine execution options, campaign queries
+            included; the broker pins one shared trace cache onto them
+            so successive batches reuse solve profiles.
         capacity: Answer-cache entries retained (LRU beyond that).
         max_pending: Bound of the submission queue — the backpressure
             knob; submitters block while it is full.
-        campaign_jobs: Process-pool width handed to campaign queries.
         cache: Answer cache to use instead of building a private
             :class:`ResultCache` — a :class:`ShardPool` passes its own,
             tiered to a disk spill when it has one.
@@ -143,7 +145,6 @@ class ServiceBroker:
         engine_options: Optional[EngineOptions] = None,
         capacity: int = 1024,
         max_pending: int = 256,
-        campaign_jobs: int = 1,
         cache: Optional[ResultCache] = None,
     ):
         self.config = (config if config is not None else HarnessConfig()).validated()
@@ -152,7 +153,6 @@ class ServiceBroker:
         if options.trace_cache is None:
             options = replace(options, trace_cache=options.make_cache())
         self.options = options
-        self.campaign_jobs = campaign_jobs
         self.cache = cache if cache is not None else ResultCache(capacity)
         self._pending: "queue.Queue" = queue.Queue(maxsize=max_pending)
         self._closed = threading.Event()
@@ -365,8 +365,8 @@ class ServiceBroker:
 
         # L3 accounting: how many solve profiles the engine's trace
         # cache served during this batch's solving.
-        trace_stats = getattr(self.options.trace_cache, "stats", None)
-        l3_before = trace_stats.hits if trace_stats is not None else 0
+        trace_stats = self.options.trace_cache.stats
+        l3_before = trace_stats.hits
 
         with tracer.span(
             "service.batch", cat="service", queries=len(batch),
@@ -398,13 +398,12 @@ class ServiceBroker:
                 ticket.finish(payload=payload, error=error)
 
         if metrics.enabled:
-            l3_after = trace_stats.hits if trace_stats is not None else 0
             metrics.inc("service.queries", len(batch))
             metrics.inc("service.hits", hits)
             metrics.inc("service.misses", misses)
             metrics.inc("service.l1_hits", l1_hits)
             metrics.inc("service.l2_hits", l2_hits)
-            metrics.inc("service.l3_hits", l3_after - l3_before)
+            metrics.inc("service.l3_hits", trace_stats.hits - l3_before)
             metrics.inc("service.coalesced", coalesced)
             metrics.inc("service.batches")
             metrics.inc("service.errors", len(failed))
@@ -482,9 +481,7 @@ class ServiceBroker:
 
     def _answer_campaign(self, ticket: _Ticket) -> dict:
         """Score one fault campaign through the standard campaign runner."""
-        campaign = run_campaign(
-            ticket.query.spec, jobs=self.campaign_jobs, options=self.options
-        )
+        campaign = run_campaign(ticket.query.spec, options=self.options)
         return {
             "service_version": SERVICE_FORMAT_VERSION,
             "kind": "campaign",

@@ -9,7 +9,9 @@ sheds with a typed :class:`~repro.service.errors.ServiceOverloaded`.
 Admission keeps inflight work below the queue bound, so the pool's
 ``submit`` never blocks, and the asyncio front-end calls it inline on
 the event loop.  The answer cache is L1, tiered to an L2 spill when
-``spill_dir`` is set.
+``spill_dir`` is set.  The engine runs under the broker's one
+:class:`~repro.engine.EngineOptions`, whose ``jobs`` sizes both a
+batch's solve pool and a campaign query's mission pool.
 
 There is one broker because one broker is one single-flight lock:
 partitioning queries over several brokers repeated solves (brokers share
@@ -56,8 +58,8 @@ class ShardPool(ServiceBroker):
 
     Inherits ``result`` / ``ask`` / ``ask_many`` / ``close`` and the
     context manager; :meth:`submit` sheds instead of blocking.  Takes
-    :class:`ServiceBroker`'s ``config``, ``overrides``,
-    ``engine_options`` and ``campaign_jobs``, plus:
+    :class:`ServiceBroker`'s ``config``, ``overrides`` and
+    ``engine_options``, plus:
 
     Args:
         capacity: L1 answer-cache entries.
@@ -74,7 +76,6 @@ class ShardPool(ServiceBroker):
         capacity: int = 1024,
         spill_dir=None,
         max_inflight: int = 64,
-        campaign_jobs: int = 1,
     ):
         if spill_dir is not None:
             cache: ResultCache = TieredResultCache(
@@ -91,7 +92,6 @@ class ShardPool(ServiceBroker):
             # below the queue capacity, so a full queue is a bug, not
             # backpressure.
             max_pending=max(2 * max_inflight, 8),
-            campaign_jobs=campaign_jobs,
             cache=cache,
         )
 

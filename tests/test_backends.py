@@ -37,6 +37,7 @@ from repro.backends import (
 from repro.core import registry
 from repro.core.config import HarnessConfig
 from repro.core.harness import Harness
+from repro.engine import EngineOptions
 from repro.mcu.cache import CACHE_ON
 from repro.scenarios import ScenarioSet, ScenarioSpec, generate_scenarios, run_scenarios
 
@@ -160,7 +161,7 @@ def test_cortexm_sweep_matches_prerefactor_golden(tmp_path):
     assert main([
         "sweep", "--kernels", "mahony,p3p",
         "--archs", "m0plus,m4,m33,m7",
-        "--reps", "1", "--jobs", "1", "--no-cache",
+        "--reps", "1", "--jobs", "1",
         "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDENS / "cortexm_sweep.json").read_bytes()
@@ -173,7 +174,7 @@ def test_cortexm_faults_match_prerefactor_golden(tmp_path):
     assert main([
         "faults", "--fault", "brownout", "--mission", "hover",
         "--kernels", "mahony", "--severities", "0.5,1.0",
-        "--seed", "3", "--jobs", "1", "--no-cache",
+        "--seed", "3", "--jobs", "1",
         "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDENS / "cortexm_faults.json").read_bytes()
@@ -188,7 +189,7 @@ def test_cross_isa_sweep_matches_committed_golden(tmp_path):
     out = tmp_path / "cross.json"
     assert main([
         "sweep", "--kernels", "mahony,p3p", "--archs", "m4,rv32imafc",
-        "--reps", "1", "--jobs", "1", "--no-cache", "--out", str(out),
+        "--reps", "1", "--jobs", "1", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (GOLDENS / "cross_isa_sweep.json").read_bytes()
 
@@ -242,10 +243,10 @@ def _canonical(report: dict) -> str:
 
 def test_cross_isa_report_is_byte_identical_across_jobs():
     sset = _cross_isa_set()
-    serial = run_scenarios(sset, jobs=1)
-    pooled = run_scenarios(sset, jobs=2)
+    serial = run_scenarios(sset, EngineOptions(jobs=1))
+    pooled = run_scenarios(sset, EngineOptions(jobs=2))
     assert _canonical(serial) == _canonical(pooled)
-    assert _canonical(run_scenarios(sset, jobs=1)) == _canonical(serial)
+    assert _canonical(run_scenarios(sset)) == _canonical(serial)
 
     assert serial["format_version"] == 2
     isas = {r["isa"] for r in serial["kernel_grid"]}

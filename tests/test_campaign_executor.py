@@ -12,12 +12,17 @@ hand them to one executor, so their guarantees are checked side by side:
   trace-cache directory re-solves only what had not finished and gives
   the same report as an uninterrupted run;
 * ``fault.*`` trace instants are the same whether mission jobs run
-  in-process or in a process pool.
+  in-process or in a process pool, and ``EngineOptions.jobs`` is what
+  sends them to the pool;
+* a mission worker that dies ends the campaign in a typed
+  ``BrokenProcessPool``, not a hang.
 """
 
 import hashlib
 import json
+import os
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 
 import pytest
@@ -29,8 +34,10 @@ from repro.closedloop import (
     SteeringCourse,
     StriderRunner,
 )
+from repro.engine import EngineOptions
 from repro.faults import FaultCampaignSpec, build_report, get_fault, run_campaign
 from repro.faults import save_report as save_resilience_report
+from repro.faults.campaign import FAULT_METRICS, mission_cell, run_mission_jobs
 from repro.mcu.arch import get_arch
 from repro.scenarios import (
     ScenarioSet,
@@ -39,7 +46,7 @@ from repro.scenarios import (
     run_scenarios,
     save_report,
 )
-from tests.test_engine import kill_and_rerun
+from tests.test_engine import error_within, kill_and_rerun
 
 
 def _sha256(data: bytes) -> str:
@@ -178,9 +185,9 @@ _PROBE_SET = ScenarioSet(
 _CAMPAIGNS = {
     "faults": lambda jobs: run_campaign(FaultCampaignSpec(
         fault="brownout", severities=(1.0,), missions=("hover",), seed=5,
-    ), jobs=jobs).mission_grid,
-    "scenarios": lambda jobs: run_scenarios(_PROBE_SET, jobs=jobs)[
-        "mission_grid"],
+    ), options=EngineOptions(jobs=jobs)).mission_grid,
+    "scenarios": lambda jobs: run_scenarios(
+        _PROBE_SET, EngineOptions(jobs=jobs))["mission_grid"],
 }
 
 
@@ -205,3 +212,28 @@ def test_fault_instants_identical_in_process_and_pooled(kind):
     pooled_records, pooled = _traced(_CAMPAIGNS[kind], 2)
     assert pooled_records == records
     assert pooled == serial
+
+
+def test_engine_options_jobs_flies_campaign_missions_pooled():
+    tracer, _ = obs.observe()
+    try:
+        run_campaign(FaultCampaignSpec(
+            fault="brownout", severities=(1.0,), missions=("steer",), seed=5,
+        ), options=EngineOptions(jobs=2))
+    finally:
+        obs.unobserve()
+    assert tracer.by_name("mission.run")
+    assert not tracer.by_name("mission.step")
+
+
+def exit_worker(source):
+    """A mission build that kills the process flying it."""
+    os._exit(3)
+
+
+def test_crashed_mission_worker_raises_broken_process_pool():
+    ok = mission_cell("brownout", "steer", "m33", 0.0, 0)
+    crash = replace(ok, build=exit_worker)
+    error = error_within(
+        60, lambda: run_mission_jobs([ok, crash, ok], FAULT_METRICS, workers=2))
+    assert isinstance(error, BrokenProcessPool), error

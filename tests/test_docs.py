@@ -101,8 +101,7 @@ def test_every_subcommand_documented_in_readme():
 def test_readme_documents_engine_flags():
     """The quickstart table must cover the engine's headline flags."""
     readme_flags = documented_flags(REPO / "README.md")
-    assert {"--jobs", "--cache-dir", "--trace", "--metrics-out",
-            "--price"} <= readme_flags
+    assert {"--jobs", "--cache-dir", "--trace", "--metrics-out"} <= readme_flags
 
 
 def test_readme_documents_backends_subcommand_and_riscv_cores():
@@ -156,7 +155,7 @@ def test_pricing_doc_linked_and_names_both_paths():
     assert "docs/benchmarks.md" in readme
     pricing = (REPO / "docs" / "pricing.md").read_text()
     for needle in ("byte-identical", "repro.vecprice", "vectorize",
-                   "--price", "BENCH_vecprice.json"):
+                   "BENCH_vecprice.json"):
         assert needle in pricing, needle
 
 

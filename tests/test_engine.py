@@ -8,12 +8,18 @@ Covers the engine's contract with the historical serial driver:
 * content-address invalidation on changed factory kwargs and seed,
 * kill-resume: a sweep killed mid-solve and rerun over the same
   trace-cache directory re-solves only what had not finished,
+* a solve worker that dies ends the sweep in ``BrokenProcessPool``, and
+  a rerun over the same cache directory equals a clean sweep,
 * the metrics-registry sweep summary and the legacy progress lines,
 * the `SweepResults` index and `SweepSpec` config-aliasing fixes.
 """
 
 import json
+import multiprocessing
+import os
 import tempfile
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -204,11 +210,12 @@ class TestTraceCache:
             assert cache.get(key) is None
         assert cache.stats.misses == 3
 
-    def test_no_cache_option_still_dedups_within_sweep(self, monkeypatch):
-        """use_cache=False disables persistence, not in-sweep grouping."""
+    def test_default_options_solve_each_kernel_once_per_sweep(
+            self, monkeypatch):
+        """Without a cache dir, in-sweep grouping still solves once."""
         counts = install_solve_counter(monkeypatch, KERNELS, OVERRIDES)
         spec = small_spec()  # 2 archs x 2 caches = 4 cells per kernel
-        run_sweep_engine(spec, options=EngineOptions(use_cache=False))
+        run_sweep_engine(spec, options=EngineOptions())
         reps_per_job = FAST.reps + FAST.warmup_reps
         assert counts == {name: reps_per_job for name in KERNELS}
 
@@ -271,6 +278,51 @@ class TestKillResume:
         assert resumed == uninterrupted
 
 
+def error_within(seconds, fn):
+    """The exception ``fn()`` raises; fails the test if it runs longer."""
+    caught = []
+
+    def call():
+        try:
+            fn()
+        except Exception as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return caught[0] if caught else None
+
+
+def exit_on_p3p(original):
+    """A ``solve_profile`` that kills its process when asked for p3p."""
+
+    def solve(kernel, *args, **kwargs):
+        if kernel == "p3p":
+            os._exit(3)
+        return original(kernel, *args, **kwargs)
+
+    return solve
+
+
+class TestCrashedWorker:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches pool workers only by fork")
+    def test_crashed_solve_worker_raises_and_rerun_recovers(
+            self, monkeypatch, tmp_path):
+        spec = small_spec(archs=(M4,))
+        clean = run_sweep_engine(spec).results
+        options = EngineOptions(jobs=2, cache_dir=tmp_path)
+        monkeypatch.setattr(executor, "solve_profile",
+                            exit_on_p3p(executor.solve_profile))
+        error = error_within(
+            60, lambda: run_sweep_engine(spec, options=options))
+        assert isinstance(error, BrokenProcessPool), error
+        monkeypatch.undo()
+        assert run_sweep_engine(spec, options=options).results == clean
+
+
 class TestTelemetry:
     def test_registry_summary(self):
         registry = MetricsRegistry()
@@ -285,9 +337,8 @@ class TestTelemetry:
     @pytest.mark.parametrize("kernels,archs,options", [
         (KERNELS, (M4,), None),
         (KERNELS, (M4,), EngineOptions(jobs=2)),
-        (KERNELS, (M4,), EngineOptions(vectorize=False)),
         (["fastbrief"], (M0PLUS,), None),  # memory misfit: two skip lines
-    ], ids=["default", "jobs2", "serial-price", "misfit"])
+    ], ids=["default", "jobs2", "misfit"])
     def test_legacy_progress_lines_preserved(self, kernels, archs, options):
         spec = SweepSpec(kernels=list(kernels), archs=list(archs),
                          config=FAST, overrides=dict(OVERRIDES))

@@ -20,7 +20,7 @@ from repro.closedloop import FlappingWingRunner, HoverMission
 from repro.core.config import HarnessConfig
 from repro.core.experiment import SweepSpec, run_sweep_serial
 from repro.datasets import imu
-from repro.engine import run_sweep_engine
+from repro.engine import EngineOptions, run_sweep_engine
 from repro.faults import (
     FaultCampaignSpec,
     build_report,
@@ -271,8 +271,10 @@ class TestCampaignDeterminism:
         assert len({c.seed for c in cells_a}) == len(cells_a)
 
     def test_report_byte_stable_across_runs_and_jobs(self, tmp_path):
-        report_1 = build_report(run_campaign(self.SPEC, jobs=1))
-        report_2 = build_report(run_campaign(self.SPEC, jobs=2))
+        report_1 = build_report(
+            run_campaign(self.SPEC, options=EngineOptions(jobs=1)))
+        report_2 = build_report(
+            run_campaign(self.SPEC, options=EngineOptions(jobs=2)))
         path_1 = save_report(report_1, tmp_path / "r1.json")
         path_2 = save_report(report_2, tmp_path / "r2.json")
         assert path_1.read_bytes() == path_2.read_bytes()

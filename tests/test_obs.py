@@ -267,7 +267,7 @@ class TestDeterminism:
         dumps, grids = [], []
         for jobs in (1, 4):
             _, metrics = obs.observe()
-            out = run_campaign(spec, jobs=jobs)
+            out = run_campaign(spec, options=EngineOptions(jobs=jobs))
             dumps.append(_strip_nondeterministic(metrics.as_dict()))
             grids.append(out.mission_grid)
             obs.unobserve()

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.engine import EngineOptions
 from repro.scenarios import (
     GustHoverMission,
     ScenarioGenerator,
@@ -256,15 +257,15 @@ def test_mission_jobs_flatten_swarms_with_stable_seeds():
 
 def test_campaign_report_is_byte_identical_across_jobs():
     sset = _tiny_set()
-    serial = run_scenarios(sset, jobs=1)
-    pooled = run_scenarios(sset, jobs=2)
+    serial = run_scenarios(sset, EngineOptions(jobs=1))
+    pooled = run_scenarios(sset, EngineOptions(jobs=2))
     assert _canonical(serial) == _canonical(pooled)
     # And across repeat runs with the same set.
-    assert _canonical(run_scenarios(sset, jobs=1)) == _canonical(serial)
+    assert _canonical(run_scenarios(sset)) == _canonical(serial)
 
 
 def test_campaign_report_covers_grids_and_rates():
-    report = run_scenarios(_tiny_set(), jobs=1)
+    report = run_scenarios(_tiny_set())
     assert report["address"] == _tiny_set().address
     assert report["counts"] == {"kernel_cells": 2, "mission_jobs": 3}
     kernels = {(r["scenario"], r["kernel"]) for r in report["kernel_grid"]}

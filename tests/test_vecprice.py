@@ -7,7 +7,7 @@ same floats bit for bit, same traces, same skip results — across every
 registered backend, scalar type, cache state, and fault-derated
 variant.  The remaining tests cover the lowering layer (trace matrices,
 ``ArchTables``), the facade verb's argument normalization, and the
-engine/scenario wiring of the ``vectorize`` switch.
+engine's batch-priced sweep against the serial reference.
 """
 
 import dataclasses
@@ -213,28 +213,24 @@ def test_trace_cache_profiles_snapshot_feeds_price_batch(profiles):
     assert len(cache.profiles()) == 1
 
 
-def test_engine_vectorized_and_serial_sweeps_are_identical():
+def test_engine_sweep_cells_equal_price_profile_of_cached_profiles():
+    """Every cell the engine prices (misfits included) is exactly what
+    the serial reference makes of its job's cached profile."""
     from repro.core.experiment import SweepSpec
 
-    def run(vectorize):
-        return run_sweep_engine(
-            SweepSpec(
-                kernels=["mahony", "fastbrief"],
-                archs=[get_arch(n) for n in ("m0plus", "m4", "rv32imafc")],
-            ),
-            options=EngineOptions(use_cache=False, vectorize=vectorize),
-        )
-
-    fast, slow = run(True), run(False)
-    assert len(fast.results) == len(slow.results)
-    for f, s in zip(fast.results, slow.results):
-        assert _as_jsonable(f) == _as_jsonable(s)
-
-
-def test_scenario_campaigns_are_identical_either_price_path():
-    from repro.scenarios import generate_scenarios, run_scenarios
-
-    sset = generate_scenarios(tier="b", count=3, seed=11)
-    fast = run_scenarios(sset, vectorize=True)
-    slow = run_scenarios(sset, vectorize=False)
-    assert fast == slow
+    archs = [get_arch(n) for n in ("m0plus", "m4", "rv32imafc")]
+    cache = TraceCache()
+    swept = run_sweep_engine(
+        SweepSpec(kernels=["mahony", "fastbrief"], archs=archs,
+                  caches=(CACHE_ON, CACHE_OFF)),
+        options=EngineOptions(trace_cache=cache),
+    )
+    profile_of = {p.kernel: p for p in cache.profiles().values()}
+    arch_of = {arch.name: arch for arch in archs}
+    cache_of = {c.label: c for c in (CACHE_ON, CACHE_OFF)}
+    assert len(swept.results) == 2 * 3 * 2
+    assert any(not r.fits for r in swept.results)
+    for result in swept.results:
+        reference = price_profile(profile_of[result.kernel],
+                                  arch_of[result.arch], cache_of[result.cache])
+        assert _as_jsonable(result) == _as_jsonable(reference)
