@@ -6,16 +6,15 @@ backend, and the quantized-vs-float cost of the TinyML kernel per ISA
 family (the deployment story: int8 is a large win on soft-float cores
 and roughly a wash on an FPU core).
 
-The deterministic pricing rows are committed as
-``benchmarks/BENCH_backends.json`` and the bench asserts the regenerated
-numbers still match — a pricing drift on any backend fails here before
-it reaches a paper table.  Wall-clock throughput (priced cells per
-second) is measured by the benchmark fixture and written only to
-``benchmarks/output/``, never compared.
+The deterministic pricing rows are the record ``benchmarks/run.py``
+writes to ``benchmarks/BENCH_backends.json``, and
+``tests/test_bench_records.py`` checks the committed rows against a
+fresh pricing — a pricing drift on any backend fails tier-1 before it
+reaches a paper table.  Both modes price the same grid.
 """
 
 import json
-from pathlib import Path
+from dataclasses import asdict
 
 from repro.backends import characterization_archs, get_arch, list_backends
 from repro.core import registry
@@ -23,7 +22,6 @@ from repro.core.config import HarnessConfig
 from repro.core.harness import Harness
 from repro.mcu.cache import CACHE_ON
 
-SEED_PATH = Path(__file__).parent / "BENCH_backends.json"
 CONFIG = HarnessConfig(reps=1, warmup_reps=0)
 
 #: Float reference kernel priced on every characterization core.
@@ -40,8 +38,19 @@ def _run(kernel: str, arch_name: str):
     return Harness(get_arch(arch_name), CONFIG).run(problem, CACHE_ON)
 
 
-def _pricing() -> dict:
-    """The deterministic cross-ISA pricing summary (the committed half)."""
+def inputs(quick: bool) -> dict:
+    """The cores, config and kernels the bench prices (same in both modes)."""
+    return {
+        "cores": [arch.name for arch in characterization_archs()],
+        "config": asdict(CONFIG),
+        "reference_kernel": REFERENCE_KERNEL,
+        "quantized_pair": list(QUANT_PAIR),
+        "quantized_cores": list(QUANT_CORES),
+    }
+
+
+def record(quick: bool) -> dict:
+    """Price the cross-ISA grid; raise unless the int8 story holds."""
     per_core = {}
     for arch in characterization_archs():
         result = _run(REFERENCE_KERNEL, arch.name)
@@ -65,6 +74,15 @@ def _pricing() -> dict:
             "int8_unit_latency_us": round(q8.unit_latency_us, 3),
             "int8_speedup": round(flt.unit_latency_us / q8.unit_latency_us, 3),
         }
+    # The deployment story: int8 is a big win on the soft-float core and
+    # no such win on the FPU cores; the M0+ cannot hold the CNN at all.
+    if quantized["m0plus"] != {"fits": False}:
+        raise AssertionError(f"the CNN fits m0plus: {quantized}")
+    if not quantized["rv32imc"]["int8_speedup"] > 2.0:
+        raise AssertionError(f"int8 speedup <= 2 on rv32imc: {quantized}")
+    for core in ("m4", "rv32imafc"):
+        if not quantized[core]["int8_speedup"] < 1.5:
+            raise AssertionError(f"int8 speedup >= 1.5 on {core}: {quantized}")
     return {
         "backends": list_backends(),
         "reference_kernel": REFERENCE_KERNEL,
@@ -73,42 +91,7 @@ def _pricing() -> dict:
     }
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def test_bench_backends_pricing(benchmark, save_artifact):
-    """Regenerate the cross-ISA pricing seed and diff it against the
-    committed ``BENCH_backends.json``; time one full registry pricing
-    pass for the throughput figure."""
-    pricing = benchmark(_pricing)
-
-    cells = len(pricing["per_core"]) + 2 * len(QUANT_CORES)
-    seconds = benchmark.stats.stats.mean
-    save_artifact(
-        "bench_backends",
-        _canonical(pricing)
-        + f"throughput: {cells / seconds:.1f} priced cells/s "
-        f"({cells} cells in {seconds:.3f}s mean)",
-    )
-
-    committed = json.loads(SEED_PATH.read_text())
-    assert pricing == committed, (
-        "cross-ISA pricing drifted from benchmarks/BENCH_backends.json; "
-        "if the change is intentional, regenerate the seed with "
-        "`python benchmarks/bench_backends.py`"
-    )
-
-    # The deployment story in one assert pair: int8 is a big win on the
-    # soft-float core, and no such win on the FPU cores (the M0+ cannot
-    # hold the CNN's activations at all).
-    q = pricing["quantized"]["per_core"]
-    assert q["m0plus"] == {"fits": False}
-    assert q["rv32imc"]["int8_speedup"] > 2.0
-    assert q["m4"]["int8_speedup"] < 1.5
-    assert q["rv32imafc"]["int8_speedup"] < 1.5
-
-
-if __name__ == "__main__":
-    SEED_PATH.write_text(_canonical(_pricing()))
-    print(f"wrote {SEED_PATH}")
+    """Price the cross-ISA grid under the timer, gates applied."""
+    body = benchmark(record, quick=True)
+    save_artifact("bench_backends", json.dumps(body, indent=2, sort_keys=True))

@@ -1,6 +1,7 @@
 """Service-tier bench: spill invariance, latency ladder, tiers, overload.
 
-Seeds ``BENCH_service.json`` at the repo root with four figures for the
+The record ``benchmarks/run.py`` writes to
+``benchmarks/BENCH_service.json`` holds four figures for the
 admission-controlled query service (see ``docs/service.md``):
 
 * **identity** — the headline invariant: a 64-query characterize burst
@@ -8,9 +9,10 @@ admission-controlled query service (see ``docs/service.md``):
   to the serial broker reference with the L2 disk spill enabled and
   disabled.  Any diff is a hard failure.
 * **latency** — p50/p99 request latency and aggregate QPS measured over
-  TCP with 1, 8, and 64 concurrent clients (``--quick``: 1 and 8)
-  against a warm pool, so the figure isolates service overhead
-  (framing, event loop, admission, L1 hits) rather than solve time.
+  TCP with 1, 8, and 64 concurrent clients (quick: 1 and 8, at 25
+  rather than 40 requests per client) against a warm pool, so the
+  figure isolates service overhead (framing, event loop, admission, L1
+  hits) rather than solve time.
 * **tiers** — a capacity-2 L1 in front of a disk spill, swept with 8
   distinct cells twice: round two must be served from L2 (nonzero L2
   hit and promotion counts prove the eviction→spill→promote path).
@@ -20,16 +22,14 @@ admission-controlled query service (see ``docs/service.md``):
   pool must serve again once the slot frees.
 
 Byte-identity and shed well-formedness are asserted on every run, so
-the bench doubles as an end-to-end smoke test.  CI runs
-``python benchmarks/bench_service.py --quick``; a full run regenerates
-the committed baseline including the 64-client rung.
+the bench doubles as an end-to-end smoke test.
 """
 
-import argparse
 import json
 import tempfile
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.api import (
@@ -41,8 +41,6 @@ from repro.api import (
     query,
 )
 from repro.core.config import HarnessConfig
-
-BASELINE = Path(__file__).parent.parent / "BENCH_service.json"
 
 #: One rep, no warmup, shrunk sequences: answers stay exact and solves
 #: stay small, so the bench measures the service tier, not the engine.
@@ -71,6 +69,20 @@ def _wire(cell) -> dict:
         "kernel": cell.kernel,
         "arch": cell.arch,
         "cache": cell.cache,
+    }
+
+
+def inputs(quick: bool) -> dict:
+    """Cells, config, overrides, burst repeats and the client ladder."""
+    return {
+        "cells": [_wire(cell) for cell in _cells()],
+        "config": asdict(CONFIG),
+        "overrides": OVERRIDES,
+        "burst_repeats": BURST_REPEATS,
+        "ladder": {
+            "clients": [1, 8] if quick else [1, 8, 64],
+            "requests_per_client": 25 if quick else 40,
+        },
     }
 
 
@@ -135,10 +147,9 @@ def _client_rounds(address, requests, latencies, barrier):
             latencies.append(time.perf_counter() - start)
 
 
-def _latency(quick: bool) -> dict:
+def _latency(ladder: dict) -> dict:
     """p50/p99 and QPS at each rung of the concurrent-client ladder."""
-    ladder = (1, 8) if quick else (1, 8, 64)
-    per_client = 25 if quick else 40
+    per_client = ladder["requests_per_client"]
     cells = _cells()
 
     pool = ShardPool(config=CONFIG, overrides=OVERRIDES, max_inflight=256)
@@ -151,7 +162,7 @@ def _latency(quick: bool) -> dict:
                 for cell in cells:
                     warmer.ask(_wire(cell))
 
-            for n_clients in ladder:
+            for n_clients in ladder["clients"]:
                 requests = [
                     _wire(cells[i % len(cells)]) for i in range(per_client)
                 ]
@@ -271,26 +282,8 @@ def _overload() -> dict:
         pool.close()
 
 
-def run_bench(quick: bool = False, write: bool = True) -> dict:
-    """Run all four phases; optionally reseed ``BENCH_service.json``."""
-    with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
-        spill_root = Path(tmp)
-        baseline = {
-            "mode": "quick" if quick else "full",
-            "identity": _identity(spill_root),
-            "latency": _latency(quick),
-            "tiers": _tiers(spill_root),
-            "overload": _overload(),
-        }
-    if write:
-        BASELINE.write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-        )
-    return baseline
-
-
 def _check(baseline: dict) -> None:
-    """The pass/fail gates shared by CI smoke and the pytest wrapper."""
+    """The pass/fail gates every run applies, quick or full."""
     if not baseline["identity"]["byte_identical"]:
         raise AssertionError(
             f"{baseline['identity']['byte_diffs']} byte-diffs vs the "
@@ -305,32 +298,21 @@ def _check(baseline: dict) -> None:
         raise AssertionError("pool did not recover after slot release")
 
 
+def record(quick: bool) -> dict:
+    """Run all four phases and raise if any gate fails."""
+    with tempfile.TemporaryDirectory(prefix="bench-service-") as tmp:
+        spill_root = Path(tmp)
+        body = {
+            "identity": _identity(spill_root),
+            "latency": _latency(inputs(quick)["ladder"]),
+            "tiers": _tiers(spill_root),
+            "overload": _overload(),
+        }
+    _check(body)
+    return body
+
+
 def test_service_bench(benchmark, save_artifact):
-    """Quick-ladder run of every phase with the CI gates applied.
-
-    Does not touch the committed ``BENCH_service.json`` — only a full
-    script run (``python benchmarks/bench_service.py``) reseeds it.
-    """
-    baseline = benchmark.pedantic(
-        lambda: run_bench(quick=True, write=False), rounds=1, iterations=1
-    )
-    save_artifact(
-        "service_bench", json.dumps(baseline, indent=2, sort_keys=True)
-    )
-    _check(baseline)
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="1/8-client ladder and fewer requests (the CI smoke mode)",
-    )
-    args = parser.parse_args()
-    result = run_bench(quick=args.quick)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    print(f"wrote {BASELINE}")
-    try:
-        _check(result)
-    except AssertionError as exc:
-        raise SystemExit(str(exc))
+    """Quick-ladder run of every phase with the gates applied."""
+    body = benchmark.pedantic(record, kwargs={"quick": True}, rounds=1)
+    save_artifact("service_bench", json.dumps(body, indent=2, sort_keys=True))

@@ -1,8 +1,9 @@
 """Columnar-pricer bench: Table IV pricing speedup.
 
-Seeds ``BENCH_vecprice.json`` at the repo root with the full Table IV
-pricing grid (every suite kernel x every characterization core of both
-ISAs x cache on/off) priced through ``repro.api.price_batch`` with
+The record ``benchmarks/run.py`` writes to
+``benchmarks/BENCH_vecprice.json`` covers the full Table IV pricing
+grid (every suite kernel x every characterization core of both ISAs x
+cache on/off) priced through ``repro.api.price_batch`` with
 ``vectorize=True`` vs the serial per-cell reference
 (``vectorize=False``).  Wall time is best-of-N on warm traces so only
 the price stage is measured; the headline is the vectorized speedup
@@ -11,16 +12,14 @@ the price stage is measured; the headline is the vectorized speedup
 Byte-identity is asserted on every run — the vectorized and serial
 results must serialize identically, and the Table IV text rendered from
 the engine's sweep must equal the text rendered from the serial
-re-price — so the bench doubles as an equivalence smoke test.  CI runs
-``python benchmarks/bench_vecprice.py --quick`` (a reduced grid with a
-5x regression gate); a full run regenerates the committed baseline.
+re-price — so the bench doubles as an equivalence smoke test.  The
+quick grid (6 kernels x 2 cores) is gated at a 5x speedup, the full
+grid at 10x.
 """
 
-import argparse
 import dataclasses
 import json
 import time
-from pathlib import Path
 
 from repro.analysis import tables
 from repro.api import (
@@ -31,11 +30,9 @@ from repro.api import (
     price_batch,
     sweep,
 )
-from repro.backends import characterization_archs
+from repro.backends import characterization_archs, get_arch
 from repro.core.config import HarnessConfig
 from repro.mcu.cache import CACHE_OFF, CACHE_ON
-
-BASELINE = Path(__file__).parent.parent / "BENCH_vecprice.json"
 
 #: Reduced sequence lengths (same as bench_table4_dynamic) keep the
 #: one-time solve pass tractable; pricing cost is solve-independent.
@@ -63,26 +60,36 @@ QUICK_ARCH_NAMES = ("m4", "rv32imafc")
 
 REPS = 3
 TIMING_ROUNDS = 5
+CACHES = (CACHE_ON, CACHE_OFF)
 
 
-def _grid(quick: bool):
-    """(kernels, archs) for the requested mode."""
-    archs = list(characterization_archs())
+def inputs(quick: bool) -> dict:
+    """The priced grid: kernels, cores, cache labels, reps, overrides."""
     if quick:
-        by_name = {a.name: a for a in archs}
-        return QUICK_KERNELS, [by_name[n] for n in QUICK_ARCH_NAMES]
-    return list(tables.TABLE_KERNELS) + ["proximity-net-int8"], archs
+        kernels, archs = list(QUICK_KERNELS), list(QUICK_ARCH_NAMES)
+    else:
+        kernels = list(tables.TABLE_KERNELS) + ["proximity-net-int8"]
+        archs = [arch.name for arch in characterization_archs()]
+    return {
+        "kernels": kernels,
+        "archs": archs,
+        "caches": [cache.label for cache in CACHES],
+        "reps": REPS,
+        "timing_rounds": TIMING_ROUNDS,
+        "overrides": {k: v for k, v in OVERRIDES.items() if k in kernels},
+    }
 
 
-def _solve_items(kernels, archs):
+def _solve_items(grid: dict):
     """Warm a trace cache with one sweep; expand profiles to price items."""
     cache = TraceCache()
+    archs = [get_arch(name) for name in grid["archs"]]
     spec = SweepSpec(
-        kernels=kernels,
+        kernels=grid["kernels"],
         archs=archs,
-        caches=(CACHE_ON, CACHE_OFF),
-        config=HarnessConfig(reps=REPS, warmup_reps=0),
-        overrides={k: v for k, v in OVERRIDES.items() if k in kernels},
+        caches=CACHES,
+        config=HarnessConfig(reps=grid["reps"], warmup_reps=0),
+        overrides=grid["overrides"],
     )
     sweep(spec, options=EngineOptions(trace_cache=cache))
     profiles = list(cache.profiles().values())
@@ -90,7 +97,7 @@ def _solve_items(kernels, archs):
         (profile, arch, cache_cfg)
         for profile in profiles
         for arch in archs
-        for cache_cfg in (CACHE_ON, CACHE_OFF)
+        for cache_cfg in CACHES
     ]
     return spec, cache, items
 
@@ -112,16 +119,16 @@ def _serialized(results) -> str:
     )
 
 
-def _micro(quick: bool) -> dict:
+def _micro(grid: dict) -> dict:
     """Table IV pricing: batched vs serial on identical warm traces."""
-    kernels, archs = _grid(quick)
-    spec, cache, items = _solve_items(kernels, archs)
+    kernels, rounds = grid["kernels"], grid["timing_rounds"]
+    spec, cache, items = _solve_items(grid)
 
     vectorized, vec_s = _best_of(
-        lambda: price_batch(items, vectorize=True), TIMING_ROUNDS
+        lambda: price_batch(items, vectorize=True), rounds
     )
     serial, ser_s = _best_of(
-        lambda: price_batch(items, vectorize=False), TIMING_ROUNDS
+        lambda: price_batch(items, vectorize=False), rounds
     )
     if _serialized(vectorized) != _serialized(serial):
         raise AssertionError(
@@ -142,9 +149,9 @@ def _micro(quick: bool) -> dict:
     return {
         "grid": {
             "kernels": len(kernels),
-            "archs": [a.name for a in archs],
-            "cache_states": 2,
-            "reps": REPS,
+            "archs": grid["archs"],
+            "cache_states": len(grid["caches"]),
+            "reps": grid["reps"],
             "cells": len(items),
             "priced_cells": priced,
         },
@@ -158,50 +165,21 @@ def _micro(quick: bool) -> dict:
     }
 
 
-def run_bench(quick: bool = False, write: bool = True) -> dict:
-    baseline = {
-        "mode": "quick" if quick else "full",
-        "micro_table4_pricing": _micro(quick),
-    }
-    if write:
-        BASELINE.write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n"
+def record(quick: bool) -> dict:
+    """Price the grid both ways; raise on any diff or a slow batch path.
+
+    The floor is 5x on the quick grid and 10x on the full grid.
+    """
+    micro = _micro(inputs(quick))
+    floor = 5.0 if quick else 10.0
+    if micro["speedup"] < floor:
+        raise AssertionError(
+            f"speedup {micro['speedup']}x below the {floor}x floor"
         )
-    return baseline
+    return {"micro_table4_pricing": micro}
 
 
 def test_vecprice_bench(benchmark, save_artifact):
-    """Quick-grid speedup gate + byte-identity, artifact for trending.
-
-    Does not touch the committed ``BENCH_vecprice.json`` — only a full
-    script run (``python benchmarks/bench_vecprice.py``) reseeds it.
-    """
-    baseline = benchmark.pedantic(
-        lambda: run_bench(quick=True, write=False), rounds=1, iterations=1
-    )
-    save_artifact(
-        "vecprice_bench", json.dumps(baseline, indent=2, sort_keys=True)
-    )
-    micro = baseline["micro_table4_pricing"]
-    assert micro["byte_identical"] and micro["table4_text_identical"]
-    # Regression gate: full-grid runs land >= 10x; the reduced grid on a
-    # noisy worker must still clear 5x.
-    assert micro["speedup"] >= 5.0, micro
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced grid + 5x gate (the CI smoke mode)",
-    )
-    args = parser.parse_args()
-    result = run_bench(quick=args.quick)
-    micro = result["micro_table4_pricing"]
-    print(json.dumps(result, indent=2, sort_keys=True))
-    print(f"wrote {BASELINE}")
-    floor = 5.0 if args.quick else 10.0
-    if micro["speedup"] < floor:
-        raise SystemExit(
-            f"speedup {micro['speedup']}x below the {floor}x floor"
-        )
+    """Quick-grid speedup gate + byte-identity, artifact for trending."""
+    body = benchmark.pedantic(record, kwargs={"quick": True}, rounds=1)
+    save_artifact("vecprice_bench", json.dumps(body, indent=2, sort_keys=True))

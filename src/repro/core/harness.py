@@ -46,11 +46,6 @@ class Harness:
 
     # -- time bookkeeping ---------------------------------------------------
 
-    @property
-    def sim_time_s(self) -> float:
-        """Current simulated wall-clock position of the harness."""
-        return self._sim_time_s
-
     def _advance(self, dt_s: float) -> None:
         self._sim_time_s += dt_s
 

@@ -105,13 +105,6 @@ class BenchmarkResult:
     def all_valid(self) -> bool:
         return all(r.valid for r in self.runs)
 
-    @property
-    def mean_trace(self) -> OpTrace:
-        total = OpTrace()
-        for r in self.runs:
-            total += r.trace
-        return total.scaled(1.0 / max(len(self.runs), 1))
-
     def summary(self) -> dict:
         return {
             "kernel": self.kernel,

@@ -28,16 +28,6 @@ FEATURE_IMAGE_SHAPE = (160, 160)
 FLOW_IMAGE_SHAPE = (80, 80)
 
 
-def _smooth(img: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Cheap separable 3-tap blur used during synthesis (not a kernel)."""
-    out = img.astype(np.float64)
-    kernel = np.array([0.25, 0.5, 0.25])
-    for _ in range(passes):
-        out = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="same"), 1, out)
-        out = np.apply_along_axis(lambda col: np.convolve(col, kernel, mode="same"), 0, out)
-    return out
-
-
 def textured(shape: Tuple[int, int] = FEATURE_IMAGE_SHAPE, seed: int = 0) -> np.ndarray:
     """Natural-texture stand-in ('midd'): multi-scale smoothed noise."""
     rng = np.random.default_rng(seed)

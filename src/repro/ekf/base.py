@@ -237,9 +237,6 @@ class ExtendedKalmanFilter:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def covariance_trace(self) -> float:
-        return float(np.trace(self.p))
-
     def is_covariance_psd(self, tol: float = -1e-6) -> bool:
         eigs = np.linalg.eigvalsh((self.p + self.p.T) / 2.0)
         return bool(eigs.min() >= tol)

@@ -13,7 +13,7 @@ from this trace, exactly as the paper's Python scripts do from real logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -159,7 +159,3 @@ class PowerMonitor:
         if self._capture_filter is not None:
             trace = self._capture_filter(trace)
         return trace
-
-    def export_csv_rows(self) -> List[Tuple[float, float]]:
-        trace = self.capture()
-        return list(zip(trace.times_s.tolist(), trace.current_a.tolist()))

@@ -246,13 +246,6 @@ def quadratic_roots(c: OpCounter, a: float, b: float, q_c: float) -> np.ndarray:
     return np.array([(-b + s) / (2 * a), (-b - s) / (2 * a)])
 
 
-def cubic_roots(c: OpCounter, coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a cubic via the trigonometric closed form."""
-    c.flop_mix(add=12, mul=18, div=4, sqrt=2, func=3)
-    roots = np.roots(coeffs)
-    return np.real(roots[np.abs(np.imag(roots)) < 1e-9])
-
-
 def quartic_roots(c: OpCounter, coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a quartic (Ferrari resolvent; used by P3P)."""
     c.flop_mix(add=30, mul=45, div=8, sqrt=4, func=4)

@@ -31,9 +31,6 @@ class Footprint:
     def sram_bytes(self) -> int:
         return self.data_bytes + self.stack_bytes
 
-    def scaled_data(self, factor: float) -> "Footprint":
-        return Footprint(self.flash_bytes, int(self.data_bytes * factor), self.stack_bytes)
-
 
 @dataclass(frozen=True)
 class FitReport:

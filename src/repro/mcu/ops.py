@@ -260,14 +260,6 @@ class OpCounter:
         self.trace.load += 8
         self.trace.store += 4
 
-    def quat_normalize(self) -> None:
-        self.vec_normalize(4)
-
-    def quat_rotate(self) -> None:
-        """Rotate a 3-vector by a quaternion (two Hamilton products)."""
-        self.quat_mul()
-        self.quat_mul()
-
     def mat_vec(self, m: int, n: int) -> None:
         """Dense (m x n) matrix times length-n vector."""
         self.trace.ffma += m * n

@@ -36,15 +36,6 @@ class CycleBreakdown:
         return self.compute_cycles + self.ifetch_stall_cycles + self.dmem_stall_cycles
 
 
-def _float_cpi(arch: ArchSpec, scalar: ScalarType) -> dict:
-    """Pick the float-op cost table for this core and scalar type."""
-    # Deferred: repro.backends defines cores in terms of repro.mcu types,
-    # so the pricing modules reach the registry at call time only.
-    from repro.backends import backend_for
-
-    return backend_for(arch).float_cpi(arch, scalar)
-
-
 class PipelineModel:
     """Prices an :class:`OpTrace` in cycles on a given core."""
 

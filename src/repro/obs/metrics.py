@@ -222,12 +222,6 @@ class MetricsRegistry:
                 mine = self._histograms[name] = Histogram()
             mine.merge(hist)
 
-    def merge_dict(self, data: dict) -> None:
-        """Fold an :meth:`as_dict` snapshot (e.g. one returned by a
-        worker process) into this registry."""
-        incoming = MetricsRegistry.from_dict(data)
-        self.merge(incoming)
-
     # -- serialization --------------------------------------------------------
 
     def as_dict(self) -> dict:

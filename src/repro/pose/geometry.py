@@ -197,11 +197,6 @@ def orthonormalize(counter: OpCounter, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotations_close(r1: np.ndarray, r2: np.ndarray, tol_deg: float = 1.0) -> bool:
-    cos = (np.trace(r1.T @ r2) - 1.0) / 2.0
-    return bool(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) <= tol_deg)
-
-
 def best_pose_by_reprojection(
     counter: OpCounter,
     candidates: List[Tuple[np.ndarray, np.ndarray]],

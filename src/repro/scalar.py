@@ -46,10 +46,6 @@ class ScalarType:
         return self.kind == "fixed"
 
     @property
-    def is_float(self) -> bool:
-        return self.kind in ("f32", "f64")
-
-    @property
     def dtype(self) -> np.dtype:
         """NumPy dtype used for the real computation.
 

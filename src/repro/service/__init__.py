@@ -30,9 +30,9 @@ them behind one broker:
   instead of blocking.
 * **Query options & errors** (:mod:`repro.service.queries`,
   :mod:`repro.service.errors`) — a frozen :class:`QueryOptions`
-  (priority, fidelity placeholder, timeout, cache policy) on every
-  query, and a typed :class:`ServiceError` taxonomy serialized as
-  structured records in wire envelope v2.
+  (priority, timeout, cache policy) on every query, and a typed
+  :class:`ServiceError` taxonomy serialized as structured records in
+  wire envelope v2.
 * **Server** (:mod:`repro.service.server`, :mod:`repro.service.aio`) —
   ``repro serve``'s asyncio JSONL-over-TCP front-end plus the matching
   ``repro query`` client (context-managed, per-query timeouts,

@@ -17,8 +17,8 @@ construction, which is what lets the broker coalesce them into a single
 solve and answer both from one cache entry.
 
 Every query also carries a frozen :class:`QueryOptions` — priority,
-fidelity placeholder, timeout, cache policy — replacing the ad-hoc
-keyword arguments that used to ride alongside queries.  Options are
+timeout, cache policy — replacing the ad-hoc keyword arguments that
+used to ride alongside queries.  Options are
 *execution* hints, not part of the question: :func:`query_key` strips
 them, so an interactive and a batch ask of the same cell share one
 content address, coalesce into one solve, and hit the same cache entry.
@@ -58,11 +58,6 @@ WIRE_VERSION = 2
 #: Priorities admission control understands, best first.
 PRIORITIES = ("interactive", "batch")
 
-#: Answer fidelities.  Only ``exact`` is implemented; ``approx`` is the
-#: reserved name for the ROADMAP's learned fast-path predictor, rejected
-#: for now with a message that says so.
-FIDELITIES = ("exact",)
-
 #: L1 answer-cache policies: ``use`` reads and writes, ``bypass`` skips
 #: both (always re-derive, never pollute), ``refresh`` skips the read
 #: but writes the fresh answer back.
@@ -82,7 +77,7 @@ def _check_arch(arch: str) -> None:
 
 @dataclass(frozen=True)
 class QueryOptions:
-    """How to run a query — priority, fidelity, deadline, cache policy.
+    """How to run a query — priority, deadline, cache policy.
 
     Frozen and hashable, attached to every query as its ``options``
     field.  Never part of the content address: two asks of the same
@@ -93,8 +88,6 @@ class QueryOptions:
         priority: ``interactive`` (default) or ``batch``.  Batch work is
             shed first under admission pressure and sorted behind
             interactive work within a dispatcher batch.
-        fidelity: ``exact`` (the only implemented tier); ``approx`` is
-            reserved for the learned fast-path predictor.
         timeout: Client-side answer deadline in seconds (None = wait
             forever).  Enforced by :meth:`ServiceBroker.ask` locally and
             by :class:`~repro.service.server.ServiceClient` remotely.
@@ -103,7 +96,6 @@ class QueryOptions:
     """
 
     priority: str = "interactive"
-    fidelity: str = "exact"
     timeout: "float | None" = None
     cache: str = "use"
 
@@ -113,15 +105,6 @@ class QueryOptions:
             raise QueryValidationError(
                 f"unknown priority {self.priority!r}; "
                 f"available: {list(PRIORITIES)}"
-            )
-        if self.fidelity not in FIDELITIES:
-            hint = (
-                " ('approx' is reserved for the learned predictor tier)"
-                if self.fidelity == "approx" else ""
-            )
-            raise QueryValidationError(
-                f"unknown fidelity {self.fidelity!r}; "
-                f"available: {list(FIDELITIES)}{hint}"
             )
         if self.cache not in CACHE_POLICIES:
             raise QueryValidationError(
@@ -145,7 +128,17 @@ class QueryOptions:
 
     @classmethod
     def from_wire(cls, data: dict) -> "QueryOptions":
-        """Build validated options from a wire ``"options"`` object."""
+        """Build validated options from a wire ``"options"`` object.
+
+        Every answer is exact, so a v2 client's ``"fidelity": "exact"``
+        is accepted and dropped; any other fidelity is refused.
+        """
+        data = dict(data)
+        fidelity = data.pop("fidelity", "exact")
+        if fidelity != "exact":
+            raise QueryValidationError(
+                f"unknown fidelity {fidelity!r}; every answer is 'exact'"
+            )
         unknown = sorted(set(data) - set(_OPTION_DEFAULTS))
         if unknown:
             raise QueryValidationError(
@@ -155,7 +148,6 @@ class QueryOptions:
         timeout = data.get("timeout")
         return cls(
             priority=data.get("priority", "interactive"),
-            fidelity=data.get("fidelity", "exact"),
             timeout=None if timeout is None else float(timeout),
             cache=data.get("cache", "use"),
         ).validated()

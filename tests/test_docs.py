@@ -32,7 +32,7 @@ EXTERNAL_FLAGS = {
     "--benchmark-only",   # pytest-benchmark
     "--benchmark-json",   # pytest-benchmark
     "--cov",              # pytest-cov
-    "--quick",            # benchmarks/bench_vecprice.py's own CLI
+    "--quick",            # benchmarks/run.py's own CLI
 }
 
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")

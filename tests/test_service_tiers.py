@@ -455,8 +455,10 @@ def test_options_round_trip_the_wire_envelope():
 def test_option_validation_rejects_unknown_settings():
     with pytest.raises(QueryValidationError, match="unknown priority"):
         QueryOptions(priority="urgent").validated()
-    with pytest.raises(QueryValidationError, match="reserved"):
-        QueryOptions(fidelity="approx").validated()
+    with pytest.raises(QueryValidationError, match="unknown fidelity"):
+        QueryOptions.from_wire({"fidelity": "approx"})
+    # v2 clients may still name the one fidelity there is.
+    assert QueryOptions.from_wire({"fidelity": "exact"}) == QueryOptions()
     with pytest.raises(QueryValidationError, match="unknown cache policy"):
         QueryOptions(cache="write-through").validated()
     with pytest.raises(QueryValidationError, match="timeout"):
