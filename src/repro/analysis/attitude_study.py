@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.tables import study_sweep
 from repro.core import registry
 from repro.core.config import HarnessConfig
-from repro.core.harness import Harness
 from repro.mcu.arch import get_arch
-from repro.mcu.cache import CACHE_ON
 from repro.scalar import F32, ScalarType, parse_scalar
 
 #: Filter variants of Case Study 2: (registry name, label).
@@ -114,18 +113,21 @@ def table7_attitude(
     config: Optional[HarnessConfig] = None,
 ) -> List[Dict]:
     """Table VII: per-update latency (us), energy (nJ), peak power (mW)."""
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
+    scalars = [s if isinstance(s, ScalarType) else parse_scalar(s) for s in scalars]
+    archs = [get_arch(a) for a in TABLE7_ARCHS]
+    filters = [name for name, _ in FILTER_VARIANTS]
+    # A sweep gives each kernel name one configuration: one per format.
+    sweeps = {
+        scalar.name: study_sweep(filters, archs, config, scalar=scalar,
+                                 dataset=dataset, n_samples=n_samples)
+        for scalar in scalars
+    }
     rows: List[Dict] = []
-    harnesses = {a: Harness(get_arch(a), config) for a in TABLE7_ARCHS}
     for name, label in FILTER_VARIANTS:
         for scalar in scalars:
-            scalar = parse_scalar(scalar) if not isinstance(scalar, ScalarType) else scalar
             row = {"filter": label, "format": scalar.name}
             for arch_name in TABLE7_ARCHS:
-                problem = registry.create(
-                    name, scalar=scalar, dataset=dataset, n_samples=n_samples
-                )
-                result = harnesses[arch_name].run(problem, CACHE_ON)
+                result = sweeps[scalar.name].lookup(name, arch_name)
                 row[f"latency_{arch_name}_us"] = result.unit_latency_us
                 row[f"energy_{arch_name}_nj"] = result.unit_energy_uj * 1e3
                 row[f"pmax_{arch_name}_mw"] = result.peak_power_mw

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.tables import study_sweep
 from repro.core import registry
 from repro.core.config import HarnessConfig
-from repro.core.harness import Harness
 from repro.mcu.arch import ArchSpec, get_arch
-from repro.mcu.cache import CACHE_ON
 
 #: Table VIII kernels.
 TABLE8_KERNELS = (
@@ -53,8 +52,8 @@ def table8_flops(
     config: Optional[HarnessConfig] = None,
 ) -> List[Dict]:
     """Table VIII rows: FLOPs, cycles, estimated vs measured energy."""
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
-    harnesses = {a: Harness(get_arch(a), config) for a in TABLE8_ARCHS}
+    kernels = list(kernels)
+    results = study_sweep(kernels, [get_arch(a) for a in TABLE8_ARCHS], config)
     rows: List[Dict] = []
     for kernel in kernels:
         probe = registry.create(kernel)
@@ -63,8 +62,7 @@ def table8_flops(
         flops_per_unit = flops_total / max(probe.work_units, 1)
         row = {"kernel": kernel, "flops": int(flops_per_unit)}
         for arch_name in TABLE8_ARCHS:
-            problem = registry.create(kernel)
-            result = harnesses[arch_name].run(problem, CACHE_ON)
+            result = results.lookup(kernel, arch_name)
             est_j = flop_estimated_energy_j(get_arch(arch_name), int(flops_per_unit))
             row[f"cycles_{arch_name}"] = result.unit_cycles
             row[f"est_energy_{arch_name}_uj"] = est_j * 1e6

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.tables import study_sweep
 from repro.core import registry
 from repro.core.config import HarnessConfig
-from repro.core.harness import Harness
 from repro.mcu.arch import CHARACTERIZATION_ARCHS, M4
-from repro.mcu.cache import CACHE_ON
+from repro.mcu.ops import OpCounter
 
 DETECTORS = ("fastbrief", "orb")
 DATASETS = ("midd", "lights", "april")
@@ -25,22 +25,40 @@ def fig3a_detection_cycles(
     datasets: Iterable[str] = DATASETS,
     config: Optional[HarnessConfig] = None,
 ) -> List[Dict]:
-    """Fig. 3(a): detector cycle counts per dataset per core."""
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
+    """Fig. 3(a): detector cycle counts per dataset per core.
+
+    ``n_features`` is what the detector finds on the image; it stays 0
+    when the detector does not fit the M4.
+    """
+    detectors, datasets = list(detectors), list(datasets)
+    sweeps = {
+        dataset: study_sweep(detectors, CHARACTERIZATION_ARCHS, config,
+                             dataset=dataset)
+        for dataset in datasets
+    }
     rows: List[Dict] = []
     for detector in detectors:
         for dataset in datasets:
             row = {"kernel": detector, "dataset": dataset}
             for arch in CHARACTERIZATION_ARCHS:
-                problem = registry.create(detector, dataset=dataset)
-                result = Harness(arch, config).run(problem, CACHE_ON)
+                result = sweeps[dataset].lookup(detector, arch.name)
                 row[f"cycles_{arch.name}"] = (
                     result.unit_cycles if result.fits else None
                 )
                 if arch is M4:
-                    row["n_features"] = problem.last_n_features
+                    row["n_features"] = (
+                        _n_features(detector, dataset) if result.fits else 0
+                    )
             rows.append(row)
     return rows
+
+
+def _n_features(detector: str, dataset: str) -> int:
+    """Features one solve finds (a detector's solve reads only its image)."""
+    problem = registry.create(detector, dataset=dataset)
+    problem.ensure_setup()
+    problem.solve(OpCounter())
+    return problem.last_n_features
 
 
 def fig3b_flow_cycles(
@@ -48,14 +66,13 @@ def fig3b_flow_cycles(
     config: Optional[HarnessConfig] = None,
 ) -> List[Dict]:
     """Fig. 3(b): optical-flow kernel cycle counts per core."""
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
+    kernels = list(kernels)
+    results = study_sweep(kernels, CHARACTERIZATION_ARCHS, config)
     rows: List[Dict] = []
     for kernel in kernels:
         row = {"kernel": kernel}
         for arch in CHARACTERIZATION_ARCHS:
-            problem = registry.create(kernel)
-            result = Harness(arch, config).run(problem, CACHE_ON)
-            row[f"cycles_{arch.name}"] = result.unit_cycles
+            row[f"cycles_{arch.name}"] = results.lookup(kernel, arch.name).unit_cycles
         rows.append(row)
     return rows
 

@@ -17,12 +17,10 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core import registry
+from repro.analysis.tables import study_sweep
 from repro.core.config import HarnessConfig
-from repro.core.harness import Harness
 from repro.datasets import pose as posedata
 from repro.mcu.arch import CHARACTERIZATION_ARCHS
-from repro.mcu.cache import CACHE_ON
 from repro.mcu.ops import OpCounter
 from repro.pose.fivept import five_point
 from repro.pose.ransac import RansacConfig, RelativePoseAdapter, lo_ransac
@@ -112,13 +110,14 @@ def solver_costs(
     config: Optional[HarnessConfig] = None,
 ) -> List[Dict]:
     """Fig. 5(b, c): per-solve cycles and peak power, per core."""
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
+    solvers = list(solvers)
+    results = study_sweep(solvers, CHARACTERIZATION_ARCHS, config,
+                          noise_px=noise_px)
     rows: List[Dict] = []
     for solver in solvers:
         row = {"solver": solver}
         for arch in CHARACTERIZATION_ARCHS:
-            problem = registry.create(solver, noise_px=noise_px)
-            result = Harness(arch, config).run(problem, CACHE_ON)
+            result = results.lookup(solver, arch.name)
             row[f"cycles_{arch.name}"] = result.unit_cycles
             row[f"pmax_{arch.name}_mw"] = result.peak_power_mw
         rows.append(row)
@@ -169,13 +168,14 @@ def ransac_costs(
     config: Optional[HarnessConfig] = None,
 ) -> List[Dict]:
     """Fig. 5(e, f): LO-RANSAC cycles and peak power by minimal solver."""
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
     rows: List[Dict] = []
     for minimal in minimals:
+        # Each minimal is its own rel-lo-ransac configuration: one sweep each.
+        results = study_sweep(["rel-lo-ransac"], CHARACTERIZATION_ARCHS, config,
+                              minimal=minimal)
         row = {"minimal": minimal}
         for arch in CHARACTERIZATION_ARCHS:
-            problem = registry.create("rel-lo-ransac", minimal=minimal)
-            result = Harness(arch, config).run(problem, CACHE_ON)
+            result = results.lookup("rel-lo-ransac", arch.name)
             row[f"cycles_{arch.name}"] = result.unit_cycles
             row[f"pmax_{arch.name}_mw"] = result.peak_power_mw
         rows.append(row)

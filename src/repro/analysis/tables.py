@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.api import EngineOptions, SweepResults, SweepSpec, sweep
+from repro.api import SweepResults, SweepSpec, characterize, sweep
 from repro.core import registry
 from repro.core.config import HarnessConfig
 from repro.core.results import si_format
 from repro.mcu.arch import CHARACTERIZATION_ARCHS, ArchSpec, get_arch
-from repro.mcu.cache import CACHE_OFF, CACHE_ON
+from repro.mcu.cache import CACHE_ON
 from repro.mcu.memory import check_fit
 from repro.mcu.static import static_profile
 
@@ -29,6 +29,27 @@ TABLE_KERNELS = [
     "abs-lo-ransac", "rel-lo-ransac",
     "fly-tiny-mpc", "fly-lqr", "bee-mpc", "bee-geom", "bee-smac",
 ]
+
+
+def study_sweep(
+    kernels: Iterable[str],
+    archs: Iterable[ArchSpec],
+    config: Optional[HarnessConfig] = None,
+    **factory_kwargs,
+) -> SweepResults:
+    """One case-study grid: ``kernels`` on each of ``archs``, cache on.
+
+    Each kernel configuration solves once and is priced on every core.
+    ``factory_kwargs`` go to every kernel factory; ``config`` defaults to
+    the case studies' one repetition with no warm-up.
+    """
+    return sweep(SweepSpec(
+        kernels=list(kernels),
+        archs=list(archs),
+        caches=(CACHE_ON,),
+        config=config if config is not None else HarnessConfig(reps=1, warmup_reps=0),
+        overrides={"*": factory_kwargs},
+    ))
 
 
 def table3_static(kernels: Optional[Iterable[str]] = None) -> List[Dict]:
@@ -90,24 +111,18 @@ def table4_dynamic(
     archs: Optional[List[ArchSpec]] = None,
     jobs: int = 1,
     cache_dir=None,
-    telemetry=None,
 ) -> SweepResults:
     """Table IV: latency/energy/peak power, caches on and off, per core.
 
-    ``jobs``/``cache_dir``/``telemetry`` (the metrics registry the sweep
-    records into) thread through to the execution engine: the table
-    regenerates from cached traces when available.
+    :func:`repro.api.characterize` over the table's 31 kernels and the
+    Cortex-M cores, one repetition with no warm-up; ``jobs``/``cache_dir``
+    size the engine, so the table regenerates from cached traces.
     """
-    spec = SweepSpec(
-        kernels=list(kernels) if kernels is not None else list(TABLE_KERNELS),
-        archs=archs if archs is not None else list(CHARACTERIZATION_ARCHS),
-        caches=(CACHE_ON, CACHE_OFF),
-        config=config if config is not None else HarnessConfig(reps=1, warmup_reps=0),
-    )
-    return sweep(
-        spec,
-        options=EngineOptions(jobs=jobs, cache_dir=cache_dir),
-        telemetry=telemetry,
+    return characterize(
+        list(kernels) if kernels is not None else list(TABLE_KERNELS),
+        config if config is not None else HarnessConfig(reps=1, warmup_reps=0),
+        archs if archs is not None else list(CHARACTERIZATION_ARCHS),
+        jobs=jobs, cache_dir=cache_dir,
     )
 
 
@@ -180,28 +195,17 @@ def render_table5(rows: List[Dict]) -> str:
 def table6_perception(
     datasets: Iterable[str] = ("midd", "lights", "april"),
     config: Optional[HarnessConfig] = None,
-    jobs: int = 1,
-    cache_dir=None,
 ) -> List[Dict]:
     """Table VI: perception energy/Pmax across datasets (Case Study 1).
 
     Feature detectors sweep all three datasets; flow kernels run on midd,
-    with the bbof-vec DSP variant included.  One engine sweep per dataset
-    group: each kernel configuration solves once and re-prices across the
-    three cores (the pre-engine driver re-executed it per core).
+    with the bbof-vec DSP variant included.  One :func:`study_sweep` per
+    dataset group.
     """
-    config = config if config is not None else HarnessConfig(reps=1, warmup_reps=0)
-    options = EngineOptions(jobs=jobs, cache_dir=cache_dir)
 
     def run_group(kernels: List[str], dataset: str) -> Dict[str, Dict]:
-        spec = SweepSpec(
-            kernels=kernels,
-            archs=list(CHARACTERIZATION_ARCHS),
-            caches=(CACHE_ON,),
-            config=config,
-            overrides={"*": {"dataset": dataset}},
-        )
-        results = sweep(spec, options=options)
+        results = study_sweep(kernels, CHARACTERIZATION_ARCHS, config,
+                              dataset=dataset)
         group_rows: Dict[str, Dict] = {}
         for kernel in kernels:
             row = {"kernel": kernel, "data": dataset}

@@ -53,11 +53,10 @@ from repro.closedloop import (
     SteeringCourse,
     StriderRunner,
     WaypointMission,
-    make_mission,
-    make_runner,
     mission_names,
     register_mission,
 )
+from repro.core import registry
 from repro.core.config import HarnessConfig
 from repro.core.experiment import (
     ResultKeyError,
@@ -74,6 +73,7 @@ from repro.faults import (
     save_report,
 )
 from repro.faults import FaultCampaignSpec as CampaignSpec
+from repro.faults.campaign import mission_cell, run_mission_job
 from repro.scenarios import (
     ScenarioGenerator,
     ScenarioSet,
@@ -174,16 +174,23 @@ def characterize(
 ) -> SweepResults:
     """Run the paper's workload characterization (Table IV).
 
-    The facade name for ``repro.core.experiment.characterize_suite``:
-    sweeps ``kernels`` (default: the full registered suite) across
-    ``archs`` (default: the paper's characterization cores), cache on
-    and off, through the execution engine.
+    Sweeps ``kernels`` (default: the full registered suite) across
+    ``archs`` (default: every backend's characterization cores), cache
+    on and off, through :func:`sweep`.  ``jobs`` and ``cache_dir`` size
+    the engine: with a warm cache the whole characterization re-prices
+    persisted traces without a single kernel ``solve()``.
     """
-    from repro.core.experiment import characterize_suite
+    from repro.backends import characterization_archs
 
-    return characterize_suite(
-        kernels, config, archs,
-        jobs=jobs, cache_dir=cache_dir, telemetry=telemetry,
+    spec = SweepSpec(
+        kernels=list(kernels) if kernels is not None else registry.suite(),
+        archs=archs if archs is not None else list(characterization_archs()),
+        config=config if config is not None else HarnessConfig(),
+    )
+    return sweep(
+        spec,
+        options=EngineOptions(jobs=jobs, cache_dir=cache_dir),
+        telemetry=telemetry,
     )
 
 
@@ -196,14 +203,19 @@ def sweep(
 ) -> SweepResults:
     """Execute one :class:`SweepSpec` through the execution engine.
 
-    ``telemetry`` is the ``repro.obs.MetricsRegistry`` the sweep records
-    into (None: the process-wide one); :func:`sweep_summary` reads the
-    run's report back out of it.
+    Every kernel x core grid runs here: each kernel configuration solves
+    once and is re-priced on every (core, cache) cell.  ``telemetry`` is
+    the ``repro.obs.MetricsRegistry`` the sweep records into (None: the
+    process-wide one); :func:`sweep_summary` reads the run's report back
+    out of it.  ``progress`` gets one ``"<kernel> on <arch>/<cache>:
+    ok|skip"`` line per cell.
     """
-    from repro.core.experiment import run_sweep
+    # Looked up on the package at call time, so a wrapper installed on
+    # ``repro.engine.run_sweep_engine`` sees every sweep.
+    from repro.engine import run_sweep_engine
 
-    return run_sweep(
-        spec, progress, options=options, telemetry=telemetry
+    return run_sweep_engine(
+        spec, options=options, telemetry=telemetry, progress=progress
     )
 
 
@@ -222,8 +234,7 @@ def run_mission(
     elif arch is not None:
         raise TypeError("pass arch inside the MissionSpec, not alongside it")
     spec = spec.validated()
-    runner = make_runner(spec.mission, spec.arch)
-    return runner.run(make_mission(spec.mission))
+    return run_mission_job(mission_cell(None, spec.mission, spec.arch, 0.0, 0))[0]
 
 
 def run_campaign(

@@ -161,14 +161,13 @@ def _engine_options(args):
 def _cmd_sweep(args) -> int:
     from dataclasses import replace
 
-    from repro.core.experiment import SweepSpec, run_sweep
+    from repro.api import SweepSpec, sweep, sweep_summary
     from repro.core.experiment_io import (
         save_results_csv,
         save_results_json,
         save_telemetry_json,
         telemetry_path_for,
     )
-    from repro.engine import sweep_summary
     from repro.obs import MetricsRegistry, get_metrics
 
     kernels = (args.kernels.split(",") if args.kernels else registry.suite())
@@ -182,15 +181,15 @@ def _cmd_sweep(args) -> int:
     # With observation on (--trace, --metrics-out, `repro trace`) the
     # sweep records into the process-wide registry, so the metrics dump
     # and the sidecar read the same counters.
-    registry = get_metrics()
-    if not registry.enabled:
-        registry = MetricsRegistry()
+    metrics = get_metrics()
+    if not metrics.enabled:
+        metrics = MetricsRegistry()
     options = _engine_options(args)
     cache = options.make_cache()
-    results = run_sweep(spec, print if args.verbose else None,
-                        options=replace(options, trace_cache=cache),
-                        telemetry=registry)
-    summary = sweep_summary(registry, cache.stats)
+    results = sweep(spec, options=replace(options, trace_cache=cache),
+                    telemetry=metrics,
+                    progress=print if args.verbose else None)
+    summary = sweep_summary(metrics, cache.stats)
     print(f"{len(results)} configurations, {results.datapoints()} datapoints")
     print(
         f"engine    : {summary['solves_executed']} solves, "

@@ -26,7 +26,6 @@ from repro.closedloop.runner import (
     FlappingWingRunner,
     MissionFaultHook,
     StriderRunner,
-    make_runner,
 )
 from repro.closedloop.simulator import FlappingWingBody, WaterStrider
 
@@ -40,7 +39,6 @@ __all__ = [
     "SteeringCourse",
     "WaypointMission",
     "make_mission",
-    "make_runner",
     "mission_entry",
     "mission_names",
     "mission_record",

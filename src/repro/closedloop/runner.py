@@ -463,30 +463,6 @@ RUNNER_CLASSES = {
 }
 
 
-def make_runner(
-    mission_name: str,
-    arch_name: str = "m33",
-    fault_hook: Optional[MissionFaultHook] = None,
-):
-    """Build the runner that flies ``mission_name`` on core ``arch_name``.
-
-    Reads the mission registry (:func:`~repro.closedloop.missions.mission_entry`)
-    for the runner class and control rate; the query service and
-    ``repro.api.run_mission`` fly a registered mission through here.
-    Campaign mission jobs build their runner from :data:`RUNNER_CLASSES`
-    in ``repro.faults.campaign.run_mission_job`` instead, since a job
-    also sets the scalar type, the body seed, and a profile's own rate.
-    """
-    from repro.closedloop.missions import mission_entry
-    from repro.mcu.arch import get_arch
-
-    arch = get_arch(arch_name)
-    entry = mission_entry(mission_name)
-    runner_cls = RUNNER_CLASSES[entry.runner]
-    return runner_cls(arch=arch, control_rate_hz=entry.control_rate_hz,
-                      fault_hook=fault_hook)
-
-
 def _quat_to_matrix(q) -> np.ndarray:
     w, x, y, z = q
     return np.array(

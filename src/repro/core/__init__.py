@@ -5,8 +5,6 @@ from repro.core.experiment import (
     ResultKeyError,
     SweepResults,
     SweepSpec,
-    characterize_suite,
-    run_sweep,
     run_sweep_serial,
 )
 from repro.core.harness import Harness
@@ -20,8 +18,6 @@ __all__ = [
     "ResultKeyError",
     "SweepResults",
     "SweepSpec",
-    "characterize_suite",
-    "run_sweep",
     "run_sweep_serial",
     "Harness",
     "EntoProblem",

@@ -5,12 +5,12 @@ the registry, runs each kernel on each requested core with caches on and
 off, and collects the aggregate results that the analysis layer formats
 into the paper's tables.
 
-Since the engine landed, :func:`run_sweep` is a thin compatibility wrapper
-over :mod:`repro.engine`, which solves each kernel configuration once and
-re-prices its op-traces across every (core, cache) cell — optionally in
+Sweeps run through ``repro.api.sweep``, which hands the spec to
+:mod:`repro.engine`: each kernel configuration solves once and its
+op-traces are re-priced across every (core, cache) cell — optionally in
 parallel, and against a persistent trace cache that a killed sweep
-resumes from.  :func:`run_sweep_serial` keeps the original quadruple loop as
-the reference implementation; the engine's results are asserted
+resumes from.  :func:`run_sweep_serial` keeps the original quadruple loop
+as the reference implementation; the engine's results are asserted
 bit-identical to it in ``tests/test_engine.py``.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import registry
 from repro.core.config import HarnessConfig
@@ -199,58 +199,3 @@ def run_sweep_serial(
                     status = "ok" if result.fits else "skip"
                     progress(f"{kernel} on {arch.name}/{cache.label}: {status}")
     return out
-
-
-def run_sweep(
-    spec: SweepSpec,
-    progress: Optional[Callable[[str], None]] = None,
-    *,
-    options=None,
-    telemetry=None,
-) -> SweepResults:
-    """Execute a sweep and return the collected results.
-
-    Compatibility wrapper over :func:`repro.engine.run_sweep_engine`:
-    same signature and bit-identical results as the historical serial
-    driver, but each kernel configuration is solved only once and
-    re-priced across cells.  Pass ``options``
-    (:class:`repro.engine.EngineOptions`) for parallel workers or a
-    persistent trace cache (rerun with the same ``cache_dir`` to resume
-    a killed sweep), and ``telemetry`` (a :class:`repro.obs.MetricsRegistry`)
-    to record the run's counts and timings somewhere other than the
-    process-wide registry.
-    """
-    from repro.engine import run_sweep_engine
-
-    return run_sweep_engine(
-        spec, options=options, telemetry=telemetry, progress=progress
-    )
-
-
-def characterize_suite(
-    kernels: Optional[Iterable[str]] = None,
-    config: Optional[HarnessConfig] = None,
-    archs: Optional[List[ArchSpec]] = None,
-    *,
-    jobs: int = 1,
-    cache_dir=None,
-    telemetry=None,
-) -> SweepResults:
-    """Run the paper's full workload characterization (Table IV).
-
-    ``jobs`` and ``cache_dir`` thread through to the execution engine:
-    with a warm cache the whole characterization re-prices persisted
-    traces without a single kernel ``solve()``.
-    """
-    from repro.engine import EngineOptions
-
-    spec = SweepSpec(
-        kernels=list(kernels) if kernels is not None else registry.suite(),
-        archs=archs if archs is not None else _default_archs(),
-        config=config if config is not None else HarnessConfig(),
-    )
-    return run_sweep(
-        spec,
-        options=EngineOptions(jobs=jobs, cache_dir=cache_dir),
-        telemetry=telemetry,
-    )

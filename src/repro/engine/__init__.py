@@ -30,9 +30,9 @@ Typical use::
     )
     print(sweep_summary(registry))
 
-``repro.core.experiment.run_sweep`` is a thin compatibility wrapper over
-this package; its results are bit-identical to the historical serial
-driver (see ``tests/test_engine.py``).
+``repro.api.sweep`` is the facade over :func:`run_sweep_engine`; its
+results are bit-identical to the serial reference
+``repro.core.experiment.run_sweep_serial`` (see ``tests/test_engine.py``).
 """
 
 from repro.engine.executor import (

@@ -162,8 +162,8 @@ def build_plan(spec) -> SweepPlan:
 
     The spec's cross product, in the serial driver's loop nest (arch,
     then cache state, then kernel), planned by :func:`build_cell_plan`,
-    so engine results collate into the exact sequence ``run_sweep`` has
-    always produced.
+    so engine results collate into the exact sequence
+    ``run_sweep_serial`` produces.
     """
     return build_cell_plan(
         ((kernel, arch, cache) for arch in spec.archs

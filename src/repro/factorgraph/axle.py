@@ -16,7 +16,7 @@ block elimination, update, repeat.  All real math, all operation-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 

@@ -193,7 +193,7 @@ class ModuleSummary:
     relpath: str
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     #: ``{local dotted name -> imported dotted target}`` for re-export
-    #: resolution (``repro.closedloop.make_runner`` -> the runner module).
+    #: resolution (``repro.closedloop.make_mission`` -> the missions module).
     export_aliases: Dict[str, str] = field(default_factory=dict)
     #: Module-level names bound to mutable containers, name -> line.
     top_mutables: Dict[str, int] = field(default_factory=dict)
@@ -692,7 +692,7 @@ class FunctionTable:
     """Whole-program view over every module's summaries.
 
     Resolves callee names through package re-export aliases
-    (``repro.closedloop.make_runner`` -> the defining module's qualname)
+    (``repro.closedloop.make_mission`` -> the defining module's qualname)
     and offers call-graph reachability — shared by the taint and race
     solvers.
     """

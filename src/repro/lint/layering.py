@@ -11,11 +11,11 @@ one *group* (``engine``, ``kernels``, ``data``, ...), and a group may
 only import from itself plus its :data:`ALLOWED` set.  Two refinements
 keep the model honest about the real code:
 
-* **Deferred seams** (:data:`DEFERRED_ALLOWED`): ``repro.core.experiment``
-  delegates ``run_sweep`` to the engine through a function-scope import.
-  That upward edge is deliberate and cycle-free at import time, so it is
-  legal *only* as a deferred import — hoisting it to module level is a
-  finding.
+* **Deferred seams** (:data:`DEFERRED_ALLOWED`): ``repro.core.registry``
+  populates itself from the kernel packages through a function-scope
+  import.  That upward edge is deliberate and cycle-free at import time,
+  so it is legal *only* as a deferred import — hoisting it to module
+  level is a finding.
 * **Unmapped modules are findings**: a new top-level package that is not
   in :data:`GROUPS` fails the lint until it is added here *and* to the
   architecture doc, which is exactly the forcing function we want.
@@ -104,10 +104,6 @@ ALLOWED: Dict[str, FrozenSet[str]] = {
 #: (src group, dst group) edges that are legal ONLY as deferred
 #: (function-scope) imports, with the reason documented.
 DEFERRED_ALLOWED: Dict[Tuple[str, str], str] = {
-    ("core", "engine"): (
-        "run_sweep delegation seam: core stays importable without the "
-        "orchestration layer"
-    ),
     ("core", "kernels"): (
         "registry population seam: kernel suites self-register on first "
         "registry use"

@@ -12,8 +12,6 @@ computation with CNN-shaped cost, which is what the benchmark needs.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.mcu.ops import OpCounter

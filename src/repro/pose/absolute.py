@@ -25,7 +25,6 @@ from repro.pose.geometry import (
     best_pose_by_reprojection,
     homogeneous,
     orthonormalize,
-    reprojection_error,
 )
 
 Pose = Tuple[np.ndarray, np.ndarray]

@@ -20,7 +20,6 @@ from repro.mcu.ops import OpCounter
 from repro.mcu.static import StaticMix, compose
 from repro.pose import absolute, relative
 from repro.pose.fivept import five_point
-from repro.pose.geometry import best_pose_by_reprojection
 from repro.pose.ransac import (
     AbsolutePoseAdapter,
     RansacConfig,

@@ -24,9 +24,9 @@ Concurrency model — one bounded queue, one dispatcher:
   query's mission pool, and its trace cache is the L3 tier.
 
 Determinism: the dispatcher only routes; characterize answers come from
-the same planner/pricer as ``run_sweep`` (pricing is per-cell pure, so
-batch composition cannot leak between answers), missions and campaigns
-run the exact library entry points.  Payloads are therefore
+the same planner/pricer as ``repro.api.sweep`` (pricing is per-cell pure,
+so batch composition cannot leak between answers), missions and
+campaigns run the exact library entry points.  Payloads are therefore
 byte-identical to direct runs at any client concurrency — asserted in
 ``tests/test_service.py``.
 
@@ -43,11 +43,12 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.closedloop import make_mission, make_runner, mission_record
+from repro.closedloop import mission_record
 from repro.core.config import HarnessConfig
 from repro.core.experiment_io import result_to_dict
 from repro.engine import EngineOptions, build_cell_plan, run_plan
 from repro.faults import run_campaign
+from repro.faults.campaign import mission_cell, run_mission_job
 from repro.mcu.arch import get_arch
 from repro.obs import get_metrics, get_tracer
 from repro.service.cache import ResultCache
@@ -467,9 +468,7 @@ class ServiceBroker:
     def _answer_mission(self, ticket: _Ticket) -> dict:
         """Fly one fault-free mission and record its task-level metrics."""
         q = ticket.query
-        mission = make_mission(q.mission)
-        runner = make_runner(q.mission, q.arch)
-        result = runner.run(mission)
+        result, _ = run_mission_job(mission_cell(None, q.mission, q.arch, 0.0, 0))
         return {
             "service_version": SERVICE_FORMAT_VERSION,
             "kind": "mission",

@@ -4,13 +4,15 @@ These use reduced problem sizes to stay fast while exercising the full
 assembly paths.
 """
 
-import numpy as np
-import pytest
+import json
+from pathlib import Path
 
 from repro.analysis import attitude_study, flops, perception_study, relpose_study, tables
 from repro.core.config import HarnessConfig
+from repro.core.experiment_io import result_to_dict
 
 FAST = HarnessConfig(reps=1, warmup_reps=0)
+GOLDEN = Path(__file__).parent / "goldens" / "analysis_studies.json"
 
 
 class TestTable3:
@@ -196,3 +198,27 @@ class TestFig5:
         rows = relpose_study.ransac_costs(minimals=("u3pt",), config=FAST)
         assert rows[0]["cycles_m4"] > 0
         assert rows[0]["pmax_m4_mw"] > 50
+
+
+def test_study_rows_match_golden():
+    """Every study call above, same arguments, byte-identical to the golden.
+
+    The golden holds each call's rows as JSON in row and key order, so a
+    change that moves one float, key or row shows here.  The class-level
+    results are reused; the rest are the test-body calls.
+    """
+    studies = {
+        "table4_dynamic": [result_to_dict(r) for r in TestTable4.RESULTS.results],
+        "table6_perception": TestTable6AndFig3.ROWS,
+        "fig3b_flow_cycles": perception_study.fig3b_flow_cycles(config=FAST),
+        "fig3a_detection_cycles": perception_study.fig3a_detection_cycles(
+            detectors=("fastbrief",), config=FAST
+        ),
+        "table7_attitude": attitude_study.table7_attitude(n_samples=80, config=FAST),
+        "table8_flops": TestTable8.ROWS,
+        "solver_costs": relpose_study.solver_costs(
+            solvers=("up2pt", "5pt"), config=FAST
+        ),
+        "ransac_costs": relpose_study.ransac_costs(minimals=("u3pt",), config=FAST),
+    }
+    assert json.dumps(studies, indent=1) + "\n" == GOLDEN.read_text()

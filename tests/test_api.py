@@ -125,6 +125,39 @@ def test_sweep_verb_runs_a_spec():
     assert results.lookup("mahony", "m33", "C").kernel == "mahony"
 
 
+def test_grid_sweeps_bind_the_engine_at_call_time(monkeypatch):
+    """Sweeps look ``run_sweep_engine`` up on ``repro.engine`` per call.
+
+    A wrapper installed on the package, as perfbench's traced run
+    installs one, must see the facade verbs, Table IV and ``repro
+    sweep``; a module-level import in ``repro.api`` would bind the
+    unwrapped function and miss every one of them.
+    """
+    import repro.engine as engine
+    from repro.analysis import tables
+    from repro.cli import main
+    from repro.core import registry
+    from repro.mcu.arch import get_arch
+
+    swept = []
+    original = engine.run_sweep_engine
+
+    def counting(spec, **kwargs):
+        swept.append(list(spec.kernels))
+        return original(spec, **kwargs)
+
+    monkeypatch.setattr(engine, "run_sweep_engine", counting)
+    m33 = [get_arch("m33")]
+    api.sweep(api.SweepSpec(kernels=["mahony"], archs=m33, config=CONFIG,
+                            overrides=OVERRIDES))
+    api.characterize(["p3p"], CONFIG, m33)
+    tables.table4_dynamic(kernels=["fly-lqr"], config=CONFIG, archs=m33)
+    # Without --kernels, `repro sweep` runs the registered suite.
+    monkeypatch.setattr(registry, "suite", lambda: ["mahony"])
+    assert main(["sweep", "--archs", "m33", "--reps", "1", "--warmup", "0"]) == 0
+    assert swept == [["mahony"], ["p3p"], ["fly-lqr"], ["mahony"]]
+
+
 def test_query_verb_answers_a_wire_dict():
     payload = api.query({
         "op": "mission", "mission": "hover", "arch": "m33",

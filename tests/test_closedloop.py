@@ -201,7 +201,7 @@ class TestMissionRegistry:
             mission_names,
             unregister_mission,
         )
-        from repro.closedloop.runner import make_runner
+        from repro.faults.campaign import mission_cell
 
         register_mission(
             "blink-hover", lambda: HoverMission(duration_s=0.05),
@@ -211,9 +211,9 @@ class TestMissionRegistry:
             assert "blink-hover" in mission_names()
             with pytest.raises(ValueError, match="already registered"):
                 register_mission("blink-hover", HoverMission)
-            runner = make_runner("blink-hover", "m33")
-            assert isinstance(runner, FlappingWingRunner)
-            assert runner.control_period == pytest.approx(1 / 500.0)
+            job = mission_cell(None, "blink-hover", "m33", 0.0, 0)
+            assert job.runner == "flapping"
+            assert job.control_rate_hz == 500.0
         finally:
             unregister_mission("blink-hover")
         assert "blink-hover" not in mission_names()

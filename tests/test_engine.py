@@ -3,7 +3,7 @@
 Covers the engine's contract with the historical serial driver:
 
 * bit-identical results (parallel + warm cache vs `run_sweep_serial`),
-* zero kernel ``solve()`` calls on a warm-cache ``characterize_suite``
+* zero kernel ``solve()`` calls on a warm-cache ``repro.api.characterize``
   (verified by a counting test double),
 * content-address invalidation on changed factory kwargs and seed,
 * kill-resume: a sweep killed mid-solve and rerun over the same
@@ -26,15 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.executor as executor
+from repro.api import characterize, sweep
 from repro.core import experiment_io, registry
 from repro.core.config import HarnessConfig
-from repro.core.experiment import (
-    SweepResults,
-    SweepSpec,
-    characterize_suite,
-    run_sweep,
-    run_sweep_serial,
-)
+from repro.core.experiment import SweepResults, SweepSpec, run_sweep_serial
 from repro.core.results import BenchmarkResult
 from repro.engine import (
     EngineOptions,
@@ -108,12 +103,12 @@ class TestEquivalence:
         assert summary["solves_executed"] == 0
         assert summary["cache_hit_rate"] == 1.0
 
-    def test_run_sweep_wrapper_is_engine_backed(self):
-        """The compatibility wrapper returns the engine's (deduped) results."""
+    def test_api_sweep_is_engine_backed(self):
+        """``repro.api.sweep`` returns the engine's (deduped) results."""
         spec = small_spec(archs=(M4,))
         serial = run_sweep_serial(spec)
-        wrapped = run_sweep(spec)
-        assert serial.results == wrapped.results
+        swept = sweep(spec)
+        assert serial.results == swept.results
 
     def test_unfit_kernels_are_never_solved(self, monkeypatch):
         """sift fits neither M4 nor M33: planned skips, zero compute."""
@@ -137,7 +132,7 @@ class TestEquivalence:
 
 
 class TestWarmCharacterization:
-    def test_warm_characterize_suite_zero_solves(self, tmp_path, monkeypatch):
+    def test_warm_characterize_zero_solves(self, tmp_path, monkeypatch):
         """Acceptance: >=3 kernels x 3 archs x 2 cache states from a warm
         cache performs zero kernel solve() calls and matches the serial
         path cell-for-cell (cycles, energy, peak power, validity)."""
@@ -146,11 +141,10 @@ class TestWarmCharacterization:
         assert len(archs) == 3
 
         serial = run_sweep_serial(SweepSpec(kernels=KERNELS, archs=archs, config=FAST))
-        characterize_suite(KERNELS, config=FAST, archs=archs, cache_dir=cache_dir)
+        characterize(KERNELS, config=FAST, archs=archs, cache_dir=cache_dir)
 
         counts = install_solve_counter(monkeypatch, KERNELS)
-        warm = characterize_suite(KERNELS, config=FAST, archs=archs,
-                                  cache_dir=cache_dir)
+        warm = characterize(KERNELS, config=FAST, archs=archs, cache_dir=cache_dir)
 
         assert sum(counts.values()) == 0, counts
         assert len(warm) == len(serial) == 3 * 3 * 2
@@ -344,7 +338,7 @@ class TestTelemetry:
                          config=FAST, overrides=dict(OVERRIDES))
         legacy, engine_lines = [], []
         run_sweep_serial(spec, progress=legacy.append)
-        run_sweep(spec, progress=engine_lines.append, options=options)
+        sweep(spec, progress=engine_lines.append, options=options)
         assert legacy == engine_lines
         assert len(legacy) == len(kernels) * 2
 

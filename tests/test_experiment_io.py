@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.core.config import HarnessConfig
-from repro.core.experiment import SweepSpec, run_sweep
+from repro import api
+from repro.api import SweepSpec
 from repro.core.experiment_io import (
     load_results_csv,
     load_results_json,
@@ -23,7 +24,7 @@ def sweep():
         config=HarnessConfig(reps=2, warmup_reps=0),
         overrides={"mahony": {"n_samples": 50}, "fly-lqr": {"n_steps": 50}},
     )
-    return run_sweep(spec)
+    return api.sweep(spec)
 
 
 class TestJsonRoundtrip:

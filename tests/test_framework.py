@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import registry
 from repro.core.config import HarnessConfig
-from repro.core.experiment import SweepSpec, run_sweep
+from repro import api
+from repro.api import SweepSpec
 from repro.core.harness import Harness
 from repro.core.problem import EntoProblem
 from repro.core.results import BenchmarkResult, RunRecord, si_format
@@ -170,7 +171,7 @@ class TestSweep:
             config=HarnessConfig(reps=1, warmup_reps=0),
             overrides={"mahony": {"n_samples": 50}, "fly-lqr": {"n_steps": 50}},
         )
-        results = run_sweep(spec)
+        results = api.sweep(spec)
         assert len(results) == 4  # 2 kernels x 1 arch x 2 cache states
         assert results.get("mahony", "m4", "C") is not None
         assert results.get("mahony", "m4", "NC") is not None
@@ -181,7 +182,7 @@ class TestSweep:
             config=HarnessConfig(reps=3, warmup_reps=0),
             overrides={"fly-lqr": {"n_steps": 20}},
         )
-        results = run_sweep(spec)
+        results = api.sweep(spec)
         assert results.datapoints() == 6
 
     def test_progress_callback(self):
@@ -189,7 +190,7 @@ class TestSweep:
         spec = SweepSpec(kernels=["fly-lqr"], archs=[M4],
                          config=HarnessConfig(reps=1, warmup_reps=0),
                          overrides={"fly-lqr": {"n_steps": 10}})
-        run_sweep(spec, progress=lines.append)
+        api.sweep(spec, progress=lines.append)
         assert len(lines) == 2
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core import registry
 from repro.core.config import HarnessConfig
-from repro.core.experiment import SweepSpec, run_sweep
+from repro import api
+from repro.api import SweepSpec
 from repro.core.harness import Harness
 from repro.mcu.arch import CHARACTERIZATION_ARCHS, M4, M7
 from repro.mcu.cache import CACHE_OFF, CACHE_ON
@@ -28,7 +29,7 @@ def sweep():
         config=FAST,
         overrides={"mahony": {"n_samples": 80}, "fly-lqr": {"n_steps": 80}},
     )
-    return run_sweep(spec)
+    return api.sweep(spec)
 
 
 class TestCharacterizationInvariants:
@@ -111,7 +112,7 @@ class TestSuiteWideRun:
                 "bee-smac": {"n_steps": 80},
             },
         )
-        results = run_sweep(spec)
+        results = api.sweep(spec)
         assert len(results) == 31 * 3 * 2
         ran = [r for r in results.results if r.fits]
         # sift skips the M4 and M33 (cache on and off): 4 skipped configs.

@@ -556,7 +556,7 @@ def test_layering_rejects_deferred_import_on_non_seam_edge(tmp_path):
 def test_layering_seam_is_deferred_only(tmp_path):
     module_level = lint_tree(tmp_path / "a", {
         "core/x.py": """
-            from repro.engine import EngineOptions
+            import repro.attitude.suite
         """,
     }, rules=["layering"])
     assert len(module_level) == 1
@@ -564,12 +564,22 @@ def test_layering_seam_is_deferred_only(tmp_path):
 
     deferred = lint_tree(tmp_path / "b", {
         "core/y.py": """
+            def populate():
+                import repro.attitude.suite
+        """,
+    }, rules=["layering"])
+    assert deferred == []
+
+    # core -> engine is no seam: even a function-scope import is a finding.
+    engine = lint_tree(tmp_path / "c", {
+        "core/z.py": """
             def delegate():
                 from repro.engine import run_sweep_engine
                 return run_sweep_engine
         """,
     }, rules=["layering"])
-    assert deferred == []
+    assert len(engine) == 1
+    assert "'core' may not depend on 'engine'" in engine[0].message
 
 
 def test_layering_flags_unmapped_package(tmp_path):
