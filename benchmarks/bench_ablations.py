@@ -45,7 +45,7 @@ def test_ablation_tinympc_startup_and_warmstart(benchmark, save_artifact):
         c = OpCounter()
         for _ in range(30):
             if not warm:
-                mpc._z = mpc._y = None  # discard the carried duals
+                mpc.reset()  # discard the carried duals
             result = mpc.solve(c, x, np.zeros((11, 4)), max_iters=12)
             x = model.step(x, result.u0)
         rows.append({"warm_start": warm, "ops_per_solve": c.trace.total // 30})

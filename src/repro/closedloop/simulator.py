@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.mcu.linalg import cross3
+
 GRAVITY = 9.81
 
 
@@ -118,7 +120,7 @@ class FlappingWingBody:
 
         torque = (
             np.asarray(moment, dtype=np.float64)
-            - np.cross(s.omega, self.j @ s.omega)
+            - cross3(s.omega, self.j @ s.omega)
             - self.drag_rot * s.omega
         )
         s.omega = s.omega + (self.j_inv @ torque) * dt

@@ -14,6 +14,7 @@ All matrices are discrete-time (zero-order hold at the control rate).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,19 @@ class LinearModel:
     @property
     def nu(self) -> int:
         return self.b.shape[1]
+
+    @cached_property
+    def dare(self) -> np.ndarray:
+        """The infinite-horizon cost-to-go P, solved once per model.
+
+        The model's gain, terminal cost and validity checks all read this
+        one solution; the memo lives exactly as long as the model.
+        """
+        from repro.control.lqr import solve_dare
+
+        p = solve_dare(self.a, self.b, self.q, self.r)
+        p.flags.writeable = False  # one array, shared by every reader
+        return p
 
     def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.a @ x + self.b @ u

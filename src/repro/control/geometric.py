@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.mcu import linalg
 from repro.mcu.ops import OpCounter
 
 GRAVITY = 9.81
@@ -96,8 +97,7 @@ class GeometricController:
             counter.vec_scale(3)
         b1_ref = np.array([np.cos(yaw_ref), np.sin(yaw_ref), 0.0])
         counter.ffunc(2)
-        b2_d = np.cross(b3_d, b1_ref)
-        counter.vec_cross()
+        b2_d = linalg.cross(counter, b3_d, b1_ref)
         norm_b2 = float(np.linalg.norm(b2_d))
         counter.vec_norm(3)
         if norm_b2 < 1e-9:
@@ -105,8 +105,7 @@ class GeometricController:
         else:
             b2_d = b2_d / norm_b2
             counter.vec_scale(3)
-        b1_d = np.cross(b2_d, b3_d)
-        counter.vec_cross()
+        b1_d = linalg.cross(counter, b2_d, b3_d)
         r_d = np.column_stack([b1_d, b2_d, b3_d])
 
         # Rotation and angular-velocity errors.
@@ -120,8 +119,7 @@ class GeometricController:
         # Moment with gyroscopic feedforward.
         j_omega = self.j @ omega
         counter.mat_vec(3, 3)
-        gyro = np.cross(omega, j_omega)
-        counter.vec_cross()
+        gyro = linalg.cross(counter, omega, j_omega)
         moment = -self.kr * er - self.kw * ew + gyro
         counter.flop_mix(add=6, mul=6)
         waveform = self._harmonic_waveform(counter, thrust, moment)

@@ -34,8 +34,7 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray,
 
 def lqr_gain(model: LinearModel) -> np.ndarray:
     """Infinite-horizon LQR gain K such that u = -K x stabilizes."""
-    p = solve_dare(model.a, model.b, model.q, model.r)
-    btp = model.b.T @ p
+    btp = model.b.T @ model.dare
     return np.linalg.solve(model.r + btp @ model.b, btp @ model.a)
 
 

@@ -48,10 +48,7 @@ def condense_mpc(
             )
     # Terminal cost = the DARE solution, so the receding-horizon MPC
     # inherits infinite-horizon behaviour despite the short horizon.
-    from repro.control.lqr import solve_dare
-
-    p_term = solve_dare(model.a, model.b, model.q, model.r)
-    q_blocks = [model.q] * (n - 1) + [p_term]
+    q_blocks = [model.q] * (n - 1) + [model.dare]
     q_bar = np.zeros((n * nx, n * nx))
     for k, blk in enumerate(q_blocks):
         q_bar[k * nx : (k + 1) * nx, k * nx : (k + 1) * nx] = blk

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.control.dynamics import LinearModel
 from repro.mcu import linalg
-from repro.mcu.ops import OpCounter
+from repro.mcu.ops import OpCounter, OpTrace
 
 
 @dataclass
@@ -53,6 +53,49 @@ class TinyMpc:
         self.p_inf: Optional[np.ndarray] = None
         self.c1: Optional[np.ndarray] = None  # (R + rho I + B'PB)^-1
         self.c2: Optional[np.ndarray] = None  # (A - BK)'
+        self._iteration_ops = self._tally_iteration()
+
+    def reset(self) -> None:
+        """Discard the carried warm start; the next solve starts cold."""
+        self._z = self._y = None
+
+    def _tally_iteration(self) -> OpTrace:
+        """The ops of one ADMM iteration, recorded step by step.
+
+        They depend only on the horizon and the model's dimensions, so
+        :meth:`solve` absorbs this one tally per iteration instead of
+        re-recording it.
+        """
+        n, nx, nu = self.n, self.model.nx, self.model.nu
+        counter = OpCounter()
+        counter.loop_overhead(1)
+        # Backward pass over linear terms.
+        counter.store(nx)
+        for _ in range(n):
+            counter.loop_overhead(1)
+            counter.vec_add(nu)
+            counter.vec_scale(nu)
+            counter.mat_vec(nu, nx)
+            counter.mat_vec(nu, nu)
+            counter.vec_add(nu)
+            counter.mat_vec(nx, nx)
+            counter.mat_vec(nx, nu)
+            counter.vec_add(2 * nx)
+        # Forward rollout.
+        for _ in range(n):
+            counter.loop_overhead(1)
+            counter.mat_vec(nu, nx)
+            counter.vec_add(nu)
+            counter.mat_vec(nx, nx)
+            counter.mat_vec(nx, nu)
+            counter.vec_add(nx)
+        # Projection, dual update and residuals.
+        counter.vec_add(n * nu)
+        counter.fcmp(2 * n * nu)
+        counter.vec_add(2 * n * nu)
+        counter.vec_add(2 * n * nu)
+        counter.fcmp(2 * n * nu)
+        return counter.trace
 
     def setup_cache(self, counter: OpCounter, riccati_iters: int = 500) -> None:
         """The on-device start-up pass: iterate Riccati to (near) fixpoint.
@@ -113,6 +156,9 @@ class TinyMpc:
             self.setup_cache(counter)
         m = self.model
         n, nx, nu = self.n, m.nx, m.nu
+        a, b, bt = m.a, m.b, m.b.T
+        rho, c1, c2 = self.rho, self.c1, self.c2
+        k_inf, k_inf_t = self.k_inf, self.k_inf.T
 
         x = np.tile(x0, (n + 1, 1))
         u = np.zeros((n, nu))
@@ -129,46 +175,25 @@ class TinyMpc:
         primal = dual = np.inf
         for it in range(max_iters):
             iterations = it + 1
-            counter.loop_overhead(1)
+            counter.absorb(self._iteration_ops)
             # Backward pass over linear terms (gains are cached).
             d = np.zeros((n, nu))
             p_vec = q_lin[n].copy()
-            counter.store(nx)
             for t in range(n - 1, -1, -1):
-                counter.loop_overhead(1)
-                r_lin = self.rho * (y[t] - z[t])
-                counter.vec_add(nu)
-                counter.vec_scale(nu)
-                d[t] = self.c1 @ (m.b.T @ p_vec + r_lin)
-                counter.mat_vec(nu, nx)
-                counter.mat_vec(nu, nu)
-                counter.vec_add(nu)
-                p_vec = q_lin[t] + self.c2 @ p_vec - self.k_inf.T @ r_lin
-                counter.mat_vec(nx, nx)
-                counter.mat_vec(nx, nu)
-                counter.vec_add(2 * nx)
+                r_lin = rho * (y[t] - z[t])
+                d[t] = c1 @ (bt @ p_vec + r_lin)
+                p_vec = q_lin[t] + c2 @ p_vec - k_inf_t @ r_lin
             # Forward rollout.
             x[0] = x0
             for t in range(n):
-                counter.loop_overhead(1)
-                u[t] = -(self.k_inf @ x[t]) - d[t]
-                counter.mat_vec(nu, nx)
-                counter.vec_add(nu)
-                x[t + 1] = m.a @ x[t] + m.b @ u[t]
-                counter.mat_vec(nx, nx)
-                counter.mat_vec(nx, nu)
-                counter.vec_add(nx)
+                u[t] = -(k_inf @ x[t]) - d[t]
+                x[t + 1] = a @ x[t] + b @ u[t]
             # Projection (box constraints) and dual update.
             z_prev = z
             z = np.clip(u + y, m.u_min, m.u_max)
-            counter.vec_add(n * nu)
-            counter.fcmp(2 * n * nu)
             y = y + u - z
-            counter.vec_add(2 * n * nu)
             primal = float(np.abs(u - z).max())
-            dual = float(self.rho * np.abs(z - z_prev).max())
-            counter.vec_add(2 * n * nu)
-            counter.fcmp(2 * n * nu)
+            dual = float(rho * np.abs(z - z_prev).max())
             if not fixed_iterations and primal < tol and dual < tol:
                 counter.branch()
                 break

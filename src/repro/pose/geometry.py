@@ -91,10 +91,8 @@ def cheirality_count(
         f2 = np.array([x2[i, 0], x2[i, 1], 1.0])
         rf1 = r @ f1
         counter.mat_vec(3, 3)
-        c1 = np.cross(rf1, f2)
-        c2 = np.cross(f2, t)
-        counter.vec_cross()
-        counter.vec_cross()
+        c1 = linalg.cross(counter, rf1, f2)
+        c2 = linalg.cross(counter, f2, t)
         denom = float(c1 @ c1)
         counter.vec_dot(3)
         if denom < 1e-18:

@@ -185,9 +185,9 @@ def homography_transfer_error(
 def _tangent_basis(t: np.ndarray) -> np.ndarray:
     """Two unit vectors spanning the tangent plane of the unit sphere at t."""
     ref = np.array([1.0, 0.0, 0.0]) if abs(t[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(t, ref)
+    b1 = linalg.cross3(t, ref)
     b1 /= np.linalg.norm(b1)
-    b2 = np.cross(t, b1)
+    b2 = linalg.cross3(t, b1)
     return np.vstack([b1, b2])
 
 

@@ -110,8 +110,7 @@ def u3pt(
         c2 = c_polys[1] @ qs
         counter.mat_vec(3, 3)
         counter.mat_vec(3, 3)
-        t = np.cross(c1, c2)
-        counter.vec_cross()
+        t = linalg.cross(counter, c1, c2)
         norm = np.linalg.norm(t)
         counter.vec_norm(3)
         if norm < 1e-12:

@@ -9,7 +9,8 @@ from repro.control.lqr import LqrController, lqr_gain, solve_dare
 from repro.control.osqp_mpc import OsqpMpc, condense_mpc
 from repro.control.smac import SlidingModeAdaptiveController
 from repro.control.tinympc import TinyMpc
-from repro.mcu.ops import OpCounter
+from repro.engine.profile import solve_profile
+from repro.mcu.ops import OpCounter, OpTrace
 
 
 class TestDynamics:
@@ -151,6 +152,104 @@ class TestTinyMpc:
             res = mpc.solve(c, x, np.zeros((11, 4)), max_iters=8)
             x = m.step(x, res.u0)
         assert x @ p @ x < 0.5 * v0
+
+
+#: The start-up ablation bench's initial state.
+ABLATION_X0 = np.array([0.02, 0.01, -0.01, 0.0])
+
+#: case: (x0 scale, solves, warm start kept, solve kwargs, iterations per
+#: solve, summed op trace, end state). Recorded while every recipe call
+#: still ran inside the solve loops, so they pin the once-built iteration
+#: tally to the step-by-step one, field by field.
+TINYMPC_PINS = {
+    "fixed-iterations": (
+        1, 30, True, dict(max_iters=8, fixed_iterations=True), [8] * 30,
+        dict(fadd=48000, fmul=2400, ffma=122880, fcmp=9600, ialu=225240,
+             icmp=80760, load=344160, store=98280, br_taken=46920,
+             br_not=51960),
+        [0.02071427660309354, 0.012194481269863007, 0.006247371170854932,
+         0.33819602990306574],
+    ),
+    "early-exit-warm": (
+        1, 30, True, dict(max_iters=12), [2] + [1] * 29,
+        dict(fadd=6200, fmul=310, ffma=20470, fcmp=1240, ialu=34841,
+             icmp=11581, load=53650, store=13844, br_taken=7240, br_not=7861),
+        [0.020714303526219547, 0.012195814262126146, 0.0062437008366632435,
+         0.3381903825002343],
+    ),
+    "early-exit-cold": (
+        1, 30, False, dict(max_iters=12), [2] * 7 + [1] * 23,
+        dict(fadd=7400, fmul=370, ffma=23410, fcmp=1480, ialu=40307,
+             icmp=13567, load=61990, store=16268, br_taken=8380, br_not=9127),
+        [0.02071475992946709, 0.012230401195555646, 0.006088359247344464,
+         0.33705756332481973],
+    ),
+    "iteration-cap": (
+        10, 1, True, dict(max_iters=20), [20],
+        dict(fadd=4000, fmul=200, ffma=9976, fcmp=800, ialu=18440,
+             icmp=6664, load=28152, store=8124, br_taken=3844, br_not=4264),
+        [0.20020000000000002, 0.10196200000000001, -0.1, 0.2666666666666666],
+    ),
+}
+
+
+class TestTinyMpcPinnedTraces:
+    @pytest.mark.parametrize("case", sorted(TINYMPC_PINS))
+    def test_receding_horizon_traces_are_pinned(self, case):
+        scale, n_solves, warm, kwargs, iterations, trace, end = TINYMPC_PINS[case]
+        m = fly_longitudinal()
+        mpc = TinyMpc(m, horizon=10)
+        mpc.setup_cache(OpCounter())
+        c = OpCounter()
+        x = scale * ABLATION_X0
+        ran = []
+        for _ in range(n_solves):
+            if not warm:
+                mpc.reset()
+            res = mpc.solve(c, x, np.zeros((11, 4)), **kwargs)
+            ran.append(res.iterations)
+            x = m.step(x, res.u0)
+        assert ran == iterations
+        assert c.trace.as_dict() == OpTrace(**trace).as_dict()
+        assert x.tolist() == end
+
+
+#: Smallest episodes that still run every repetition and validation.
+DARE_KERNELS = {"fly-lqr": {"n_steps": 40}, "fly-tiny-mpc": {"n_steps": 10},
+                "bee-mpc": {"n_steps": 3}}
+
+
+class TestDarePerModel:
+    @pytest.fixture
+    def dare_calls(self, monkeypatch):
+        import repro.control.lqr as lqr
+
+        calls = []
+        original = lqr.solve_dare
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lqr, "solve_dare", counting)
+        return calls
+
+    @pytest.mark.parametrize("kernel", sorted(DARE_KERNELS))
+    def test_one_dare_per_solve_profile(self, kernel, dare_calls):
+        solve_profile(kernel, DARE_KERNELS[kernel], reps=3, warmup_reps=1)
+        assert len(dare_calls) == 1
+        # A second profile builds its own model: nothing crosses solves.
+        solve_profile(kernel, DARE_KERNELS[kernel], reps=3, warmup_reps=1)
+        assert len(dare_calls) == 2
+
+    def test_memo_is_the_dare_solution(self):
+        m = bee_hover()
+        p = solve_dare(m.a, m.b, m.q, m.r)
+        assert m.dare.tobytes() == p.tobytes()
+        assert m.dare is m.dare
+        btp = m.b.T @ p
+        k = np.linalg.solve(m.r + btp @ m.b, btp @ m.a)
+        assert lqr_gain(m).tobytes() == k.tobytes()
 
 
 class TestOsqpMpc:

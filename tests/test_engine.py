@@ -11,7 +11,8 @@ Covers the engine's contract with the historical serial driver:
 * a solve worker that dies ends the sweep in ``BrokenProcessPool``, and
   a rerun over the same cache directory equals a clean sweep,
 * the metrics-registry sweep summary and the legacy progress lines,
-* the `SweepResults` index and `SweepSpec` config-aliasing fixes.
+* the `SweepResults` index and `SweepSpec` config-aliasing fixes,
+* every Table IV kernel's solve profile, pinned field by field.
 """
 
 import json
@@ -20,6 +21,7 @@ import os
 import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from repro.engine import (
     solve_key,
     sweep_summary,
 )
+from repro.engine.profile import solve_profile
 from repro.mcu.arch import CHARACTERIZATION_ARCHS, M0PLUS, M4, M33
 from repro.mcu.memory import MemoryFitError
 from repro.obs import MetricsRegistry
@@ -389,3 +392,53 @@ class TestSatelliteFixes:
         assert len(plan.jobs) == len(KERNELS)
         # 4 cells per kernel, solved once each: 3 x 3 executions saved.
         assert plan.n_solves_saved == len(KERNELS) * 3
+
+
+TABLE4_GOLDEN = Path(__file__).parent / "goldens" / "table4_profiles.json"
+_ABSENT = object()
+
+
+def table4_profiles() -> dict:
+    """Every suite kernel's default-config solve profile, minus ``solve_s``.
+
+    ``tests/goldens/table4_profiles.json`` is this dict written with
+    ``json.dumps(profiles, indent=1, sort_keys=True)``.
+    """
+    config = HarnessConfig()
+    profiles = {}
+    for kernel in registry.suite():
+        profile = solve_profile(kernel, {}, config.reps, config.warmup_reps)
+        profiles[kernel] = profile.to_dict()
+        del profiles[kernel]["solve_s"]
+    return profiles
+
+
+def leaf_diffs(golden, actual, path=""):
+    """``path: golden, got`` for every leaf where two JSON values differ."""
+    if golden is _ABSENT or actual is _ABSENT:
+        return [f"{path}: only in the {'run' if golden is _ABSENT else 'golden'}"]
+    if isinstance(golden, dict) and isinstance(actual, dict):
+        return [
+            diff for key in sorted(set(golden) | set(actual))
+            for diff in leaf_diffs(golden.get(key, _ABSENT),
+                                   actual.get(key, _ABSENT),
+                                   f"{path}.{key}" if path else key)
+        ]
+    if (isinstance(golden, list) and isinstance(actual, list)
+            and len(golden) == len(actual)):
+        return [diff for i, (g, a) in enumerate(zip(golden, actual))
+                for diff in leaf_diffs(g, a, f"{path}[{i}]")]
+    return [] if golden == actual else [f"{path}: golden {golden!r}, got {actual!r}"]
+
+
+class TestTable4Profiles:
+    def test_every_suite_profile_matches_golden(self):
+        """Op traces, verdicts, footprints and static mixes of all 38 kernels.
+
+        The golden is host-bound like the sweep goldens: ``p3p`` and
+        ``abs-lo-ransac`` go through LAPACK root finding whose result
+        depends on the OpenBLAS kernel the CPU selects.
+        """
+        golden = json.loads(TABLE4_GOLDEN.read_text())
+        diffs = leaf_diffs(golden, table4_profiles())
+        assert not diffs, "profiles differ from the golden:\n" + "\n".join(diffs)

@@ -1,5 +1,8 @@
 """Tests for the counted linear-algebra layer."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,40 @@ class TestResultsMatchNumpy:
         assert np.allclose(linalg.outer(c, x, y), np.outer(x, y))
         assert np.allclose(linalg.cross(c, x[:3], y[:3]), np.cross(x[:3], y[:3]))
         assert np.allclose(linalg.transpose(c, rand((3, 4))), rand((3, 4)).T)
+
+
+#: Finite float64 components whose pairwise products cannot overflow,
+#: with subnormals and both signed zeros drawn explicitly.
+FLOAT64 = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
+              allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e-310]),
+)
+VEC3 = st.tuples(FLOAT64, FLOAT64, FLOAT64).map(np.array)
+
+
+class TestCross3:
+    @given(VEC3, VEC3)
+    @settings(max_examples=500, deadline=None)
+    def test_byte_identical_to_numpy(self, x, y):
+        assert linalg.cross3(x, y).tobytes() == np.cross(x, y).tobytes()
+
+    def test_no_numpy_cross_left_in_src(self):
+        """Every 3-vector cross product goes through ``cross3``."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        paths = sorted(src.rglob("*.py"))
+        assert paths, f"no sources under {src}"
+        calls = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "cross"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy")):
+                    calls.append(f"{path.relative_to(src)}:{node.lineno}")
+                if (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                        and any(alias.name == "cross" for alias in node.names)):
+                    calls.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert not calls, f"np.cross outside cross3: {calls}"
 
 
 class TestOpAccounting:
